@@ -6,6 +6,7 @@
 #   3. lint, all targets     (clippy, warnings; tests/bins may unwrap)
 #   4. release build
 #   5. test suite
+#   6. smokes: driver_eval, paper_eval, perfbench probes
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies and must keep building in a network-less container.
@@ -113,6 +114,17 @@ if [ "$idents" -ne 3 ]; then
     exit 1
 fi
 rm -f "$join_log"
+
+echo "== perfbench build + probes =="
+# The benchmark is a package of its own that imports the library crates'
+# public API; building it here makes an API break fail CI instead of the
+# benchmark run. Each --probe is one analysis with a known-answer check
+# (exit 1 on any mismatch).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in batch calls edit; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 --probe
+done
 
 echo "== precision-provenance smoke (--blame / --blame-out) =="
 # paper_eval --blame exits nonzero unless the canonical widening loss is

@@ -40,8 +40,8 @@
 use cai_bench::{args::write_trace_out, fig1_family, thm6_family, Args, ConjGen, FIG1, FIG4, FIG8};
 use cai_core::reduce::{EncodeMode, UnaryEncoder};
 use cai_core::{
-    no_saturate, AbstractDomain, Budget, BudgetPolicy, CacheConfig, LogicalProduct, Precision,
-    ReducedProduct, SplitCache,
+    no_saturate, AbstractDomain, Budget, BudgetPolicy, LogicalProduct, Precision, ReducedProduct,
+    SplitCache, DEFAULT_SPLIT_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY,
 };
 use cai_driver::{Driver, ModuleAnalysis};
 use cai_interp::{herbrand_view, parse_module, parse_program, Analyzer, Program};
@@ -324,14 +324,10 @@ fn join_stats() {
             )
         };
         let product = || LogicalProduct::new(AffineEq::new(), UfDomain::new());
-        let (va, ea, ticks_on, stats, stable) =
-            run(product().with_cache_config(&CacheConfig::default()));
-        let (vb, eb, ticks_off, _, _) = run(product().with_cache_config(&CacheConfig::disabled()));
-        // The pre-redesign builder must be an exact alias of the unified
-        // config (old-API vs. new-API bit-identity).
-        let (vc, ec, _, _, _) =
-            run(product().with_split_cache_capacity(cai_core::DEFAULT_SPLIT_CACHE_CAPACITY));
-        let identical = va == vb && ea == eb && stable && vc == va && ec == ea;
+        let (va, ea, ticks_on, stats, stable) = run(product());
+        let (vb, eb, ticks_off, _, _) =
+            run(product().with_split_cache(SplitCache::with_capacity(0, 0)));
+        let identical = va == vb && ea == eb && stable;
         failed |= !identical;
         total_hits += stats.cache_hits;
         total_cached_ticks += ticks_on;
@@ -401,16 +397,17 @@ fn incremental_edit(vocab: &Vocab) {
     let other = vocab
         .parse_conj("w = F(b0 + 5)")
         .expect("other side parses");
-    let run = |cfg: &CacheConfig| {
-        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new()).with_cache_config(cfg);
+    let run = |whole: usize, term: usize| {
+        let d = LogicalProduct::new(AffineEq::new(), UfDomain::new())
+            .with_split_cache(SplitCache::with_capacity(whole, term));
         let results: Vec<String> = (2..=atoms.len())
             .map(|k| d.join(&grown(k), &other).to_string())
             .collect();
         (results, d.budget().spent(), d.stats().snapshot())
     };
-    let (r_off, t_off, _) = run(&CacheConfig::disabled());
-    let (r_whole, t_whole, s_whole) = run(&CacheConfig::whole_only());
-    let (r_sub, t_sub, s_sub) = run(&CacheConfig::default());
+    let (r_off, t_off, _) = run(0, 0);
+    let (r_whole, t_whole, s_whole) = run(DEFAULT_SPLIT_CACHE_CAPACITY, 0);
+    let (r_sub, t_sub, s_sub) = run(DEFAULT_SPLIT_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY);
     println!("  ticks: uncached {t_off}, whole-conjunction {t_whole}, sub-structural {t_sub}");
     println!(
         "  whole-conjunction: saturation rounds={} {s_whole}",
@@ -473,12 +470,12 @@ fn driver_identity(vocab: &Vocab) {
     let baseline = run_fp(
         &Driver::new(|_: &Budget| {
             LogicalProduct::new(AffineEq::new(), UfDomain::new())
-                .with_cache_config(&CacheConfig::disabled())
+                .with_split_cache(SplitCache::with_capacity(0, 0))
         })
         .threads(1)
         .analyze(&m),
     );
-    let shared = SplitCache::with_config(&CacheConfig::default());
+    let shared = SplitCache::new();
     for threads in [1usize, 2, 4] {
         let cache = shared.clone();
         let a = Driver::new(move |_: &Budget| {
@@ -755,7 +752,7 @@ fn complexity() {
             n, t_jl, t_ju, t_jc, t_ql, t_qc
         );
     }
-    println!("(criterion benches: cargo bench -p cai-bench)");
+    println!("(end-to-end benchmark: see perfbench/README.md)");
 }
 
 fn median_us(mut f: impl FnMut()) -> f64 {

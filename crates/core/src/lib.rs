@@ -39,10 +39,7 @@ mod reduced;
 mod saturate;
 
 pub use budget::{Budget, CaiError, Degradation, DegradationReport, Incident, IncidentKind};
-pub use cache::{
-    Cache, CacheConfig, CacheStats, Eviction, StoreOutcome, TermMemo,
-    DEFAULT_SUMMARY_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY,
-};
+pub use cache::{CacheStats, TermMemo, DEFAULT_TERM_MEMO_CAPACITY};
 pub use chaos::{ChaosConfig, ChaosDomain};
 pub use direct::{DirectProduct, Pair};
 pub use domain::{combination_precision, AbstractDomain, Precision, TheoryProps};

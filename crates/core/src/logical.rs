@@ -41,7 +41,7 @@
 //! timings, or run `paper_eval --join-stats` for an end-to-end report.
 
 use crate::budget::Budget;
-use crate::cache::{cs, Cache, CacheConfig, CacheStats, StoreOutcome, TermMemo};
+use crate::cache::{cs, CacheStats, TermMemo, DEFAULT_TERM_MEMO_CAPACITY};
 use crate::domain::{combination_precision, AbstractDomain, Precision, TheoryProps};
 use crate::partition::Partition;
 use crate::saturate::{no_saturate_budgeted, Saturated};
@@ -272,10 +272,6 @@ struct CacheShard<E1, E2> {
     /// go stale when entries are overwritten; every candidate is verified
     /// by an actual set-inclusion check before use.
     by_atoms: HashMap<u64, u64>,
-    capacity: usize,
-    /// Fingerprint of the [`CacheConfig`] this cache was built with —
-    /// [`SplitCache::reconfigure`] invalidates everything when it changes.
-    config_fp: u64,
 }
 
 /// The result of probing the cache for a conjunction.
@@ -305,19 +301,22 @@ fn atom_set_fp(atoms: &BTreeSet<&Atom>) -> u64 {
 /// `Arc`-shared tables: clones observe each other's inserts, and handing
 /// clones of one cache to several products (or to every worker thread of a
 /// driver run) is *the* supported way to share memoized splits across
-/// rounds and threads. To start over, build a new cache (or call
-/// [`clear`](SplitCache::clear)); there is deliberately no deep-copy —
-/// a snapshot would silently stop receiving the other handles' work.
+/// rounds and threads. To start over, build a new cache; there is
+/// deliberately no deep-copy — a snapshot would silently stop receiving
+/// the other handles' work.
 ///
 /// Entries produced under a degraded budget are never stored — see
 /// [`LogicalProduct::with_split_cache`] for the invalidation rules.
 ///
-/// Capacity 0 disables the cache. When a table reaches capacity it is
-/// cleared wholesale ([`Eviction::ClearAll`](crate::cache::Eviction): the
-/// working set of a fixpoint is small and cyclic, so LRU bookkeeping is
-/// not worth its overhead).
+/// Both capacities are fixed at construction (see
+/// [`with_capacity`](SplitCache::with_capacity)). Whole-conjunction
+/// capacity 0 disables the cache. When a table reaches capacity it is
+/// cleared wholesale: the working set of a fixpoint is small and cyclic,
+/// so LRU bookkeeping is not worth its overhead.
 pub struct SplitCache<E1, E2> {
     inner: Arc<Mutex<CacheShard<E1, E2>>>,
+    /// Whole-conjunction capacity; 0 disables the cache.
+    capacity: usize,
     /// The per-alien-term memo, sharing this cache's [`CacheStats`].
     term_memo: Arc<TermMemo>,
     stats: CacheStats,
@@ -329,6 +328,7 @@ impl<E1, E2> Clone for SplitCache<E1, E2> {
     fn clone(&self) -> Self {
         SplitCache {
             inner: Arc::clone(&self.inner),
+            capacity: self.capacity,
             term_memo: Arc::clone(&self.term_memo),
             stats: self.stats.clone(),
         }
@@ -340,7 +340,7 @@ impl<E1, E2> fmt::Debug for SplitCache<E1, E2> {
         let shard = self.lock();
         f.debug_struct("SplitCache")
             .field("len", &shard.map.len())
-            .field("capacity", &shard.capacity)
+            .field("capacity", &self.capacity)
             .field("term_memo", &self.term_memo)
             .finish()
     }
@@ -353,35 +353,26 @@ impl<E1, E2> Default for SplitCache<E1, E2> {
 }
 
 impl<E1, E2> SplitCache<E1, E2> {
-    /// A cache with the default [`CacheConfig`].
+    /// A cache with the default capacities
+    /// ([`DEFAULT_SPLIT_CACHE_CAPACITY`] whole-conjunction splits,
+    /// [`DEFAULT_TERM_MEMO_CAPACITY`] per-term splits).
     pub fn new() -> SplitCache<E1, E2> {
-        SplitCache::with_config(&CacheConfig::default())
+        SplitCache::with_capacity(DEFAULT_SPLIT_CACHE_CAPACITY, DEFAULT_TERM_MEMO_CAPACITY)
     }
 
-    /// A cache holding at most `capacity` whole-conjunction splits
-    /// (0 disables caching); the sub-structural layer keeps its default
-    /// capacity. Kept as a thin wrapper over [`SplitCache::with_config`].
-    pub fn with_capacity(capacity: usize) -> SplitCache<E1, E2> {
-        SplitCache::with_config(&CacheConfig {
-            split_capacity: capacity,
-            ..CacheConfig::default()
-        })
-    }
-
-    /// A cache configured by `cfg` — the one constructor the others wrap.
-    pub fn with_config(cfg: &CacheConfig) -> SplitCache<E1, E2> {
+    /// A cache holding at most `whole` whole-conjunction splits and `term`
+    /// per-alien-term splits. `(0, 0)` is the uncached reference (no
+    /// split is ever stored); `(n, 0)` is the whole-conjunction memo alone,
+    /// with no partial hits attempted.
+    pub fn with_capacity(whole: usize, term: usize) -> SplitCache<E1, E2> {
         let stats = CacheStats::new();
         SplitCache {
             inner: Arc::new(Mutex::new(CacheShard {
                 map: HashMap::new(),
                 by_atoms: HashMap::new(),
-                capacity: cfg.split_capacity,
-                config_fp: cfg.fingerprint(),
             })),
-            term_memo: Arc::new(TermMemo::with_capacity_and_stats(
-                cfg.term_capacity,
-                stats.clone(),
-            )),
+            capacity: whole,
+            term_memo: Arc::new(TermMemo::new(term, stats.clone())),
             stats,
         }
     }
@@ -402,13 +393,13 @@ impl<E1, E2> SplitCache<E1, E2> {
 
     /// The whole-conjunction capacity (0 means caching is disabled).
     pub fn capacity(&self) -> usize {
-        self.lock().capacity
+        self.capacity
     }
 
     /// The sub-structural payload capacity (0 means the per-term layer is
     /// disabled and no partial hits are attempted).
     pub fn term_capacity(&self) -> usize {
-        Cache::capacity(&*self.term_memo)
+        self.term_memo.capacity()
     }
 
     /// The per-alien-term memo beneath this cache.
@@ -420,40 +411,6 @@ impl<E1, E2> SplitCache<E1, E2> {
     /// the two layers deliberately share one [`CacheStats`]).
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Fingerprint of the [`CacheConfig`] this cache was built with.
-    pub fn config_fingerprint(&self) -> u64 {
-        self.lock().config_fp
-    }
-
-    /// Adopts `cfg`, invalidating every derived entry (whole-conjunction
-    /// splits, the subset index, and per-term payloads — the name map
-    /// persists, as names must) if and only if `cfg`'s fingerprint differs
-    /// from the one the cache was built with. The split-cache counterpart
-    /// of the driver's `config_fingerprint` invalidation.
-    pub fn reconfigure(&self, cfg: &CacheConfig) {
-        let mut shard = self.lock();
-        if shard.config_fp == cfg.fingerprint() {
-            return;
-        }
-        shard.map.clear();
-        shard.by_atoms.clear();
-        shard.capacity = cfg.split_capacity;
-        shard.config_fp = cfg.fingerprint();
-        drop(shard);
-        self.term_memo.set_capacity(cfg.term_capacity);
-        self.stats.bump(cs::INVALIDATIONS);
-    }
-
-    /// Drops every cached split and per-term payload (the per-term name
-    /// map persists — names are stable for the life of the cache).
-    pub fn clear(&self) {
-        let mut shard = self.lock();
-        shard.map.clear();
-        shard.by_atoms.clear();
-        drop(shard);
-        self.term_memo.clear_payloads();
     }
 
     /// The term memo as the trait object the purifier consumes.
@@ -508,37 +465,30 @@ impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
         SplitLookup::Miss
     }
 
-    /// Stores a split computed for `key` unless it was `degraded`
-    /// (degradation-aware invalidation), maintaining the subset index.
-    /// Counts skips and evictions on [`SplitCache::stats`].
-    fn store_split(
-        &self,
-        fp: u64,
-        key: &Conj,
-        split: &Split<E1, E2>,
-        degraded: bool,
-    ) -> StoreOutcome {
-        if degraded {
-            self.stats.bump(cs::SKIPS);
-            // Later rounds must re-purify and re-saturate from scratch —
-            // the skipped store is where that recomputation was lost.
-            provenance::record_at_current_round(
-                provenance::LossKind::CacheSkippedDegraded,
-                "logical-product/split-cache",
-                "logical",
-                0,
-            );
-            return StoreOutcome::SkippedDegraded;
-        }
+    /// Records that a split was computed under a degraded budget and
+    /// deliberately not stored: a starved round must not poison a later,
+    /// better-funded one.
+    fn skip_degraded(&self) {
+        self.stats.bump(cs::SKIPS);
+        // Later rounds must re-purify and re-saturate from scratch —
+        // the skipped store is where that recomputation was lost.
+        provenance::record_at_current_round(
+            provenance::LossKind::CacheSkippedDegraded,
+            "logical-product/split-cache",
+            "logical",
+            0,
+        );
+    }
+
+    /// Stores a healthy split computed for `key`, maintaining the subset
+    /// index. Returns whether the table was cleared to make room (counted
+    /// as an eviction on [`SplitCache::stats`]).
+    fn store(&self, fp: u64, key: &Conj, split: &Split<E1, E2>) -> bool {
         let mut shard = self.lock();
-        if shard.capacity == 0 {
-            return StoreOutcome::Disabled;
-        }
-        let mut evicted = false;
-        if shard.map.len() >= shard.capacity && !shard.map.contains_key(&fp) {
+        let evicted = shard.map.len() >= self.capacity && !shard.map.contains_key(&fp);
+        if evicted {
             shard.map.clear();
             shard.by_atoms.clear();
-            evicted = true;
         }
         let set_fp = atom_set_fp(&key.iter().collect());
         shard.by_atoms.entry(set_fp).or_insert(fp);
@@ -553,60 +503,8 @@ impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
         drop(shard);
         if evicted {
             self.stats.bump(cs::EVICTIONS);
-            StoreOutcome::StoredEvicting
-        } else {
-            StoreOutcome::Stored
         }
-    }
-}
-
-impl<E1: Clone, E2: Clone> Cache for SplitCache<E1, E2> {
-    type Key = Conj;
-    type Value = Split<E1, E2>;
-
-    fn lookup(&self, key: &Conj) -> Option<Split<E1, E2>> {
-        match self.probe(key.fingerprint(), key, false) {
-            SplitLookup::Hit(out) => Some(out),
-            _ => None,
-        }
-    }
-
-    fn store(&mut self, key: Conj, value: Split<E1, E2>, degraded: bool) -> StoreOutcome {
-        self.store_split(key.fingerprint(), &key, &value, degraded)
-    }
-
-    fn invalidate(&mut self, key: &Conj) -> bool {
-        let mut shard = self.lock();
-        let fp = key.fingerprint();
-        match shard.map.get(&fp) {
-            Some(entry) if entry.key == *key => {
-                let set_fp = atom_set_fp(&entry.key.iter().collect());
-                shard.by_atoms.remove(&set_fp);
-                shard.map.remove(&fp);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn clear(&mut self) {
-        SplitCache::clear(self);
-    }
-
-    fn len(&self) -> usize {
-        SplitCache::len(self)
-    }
-
-    fn capacity(&self) -> usize {
-        SplitCache::capacity(self)
-    }
-
-    fn stats(&self) -> &CacheStats {
-        SplitCache::stats(self)
-    }
-
-    fn checksum(&self) -> u64 {
-        crate::cache::fold_checksum(self.lock().map.values().map(|e| e.key.fingerprint()))
+        evicted
     }
 }
 
@@ -684,26 +582,6 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
     pub fn with_split_cache(mut self, cache: SplitCache<D1::Elem, D2::Elem>) -> Self {
         self.cache = cache;
         self
-    }
-
-    /// Replaces the split cache with one built from `cfg` — the unified
-    /// configuration surface ([`CacheConfig`] rides through
-    /// `AnalysisConfig`). The legacy builders
-    /// ([`with_split_cache_capacity`](Self::with_split_cache_capacity))
-    /// are thin wrappers over this.
-    pub fn with_cache_config(self, cfg: &CacheConfig) -> Self {
-        self.with_split_cache(SplitCache::with_config(cfg))
-    }
-
-    /// Replaces the split cache with one of the given whole-conjunction
-    /// capacity (0 disables caching — used by A/B measurements). A thin
-    /// wrapper over [`with_cache_config`](Self::with_cache_config), kept
-    /// for source compatibility; results are identical either way.
-    pub fn with_split_cache_capacity(self, capacity: usize) -> Self {
-        self.with_cache_config(&CacheConfig {
-            split_capacity: capacity,
-            ..CacheConfig::default()
-        })
     }
 
     /// The purification/saturation memo cache.
@@ -809,10 +687,11 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
         let degraded = out.1.degraded
             || self.budget.is_exhausted()
             || self.budget.degrade_count() != degrades_before;
-        match self.cache.store_split(fp, e, &out, degraded) {
-            StoreOutcome::SkippedDegraded => self.stats.add(jc::CACHE_SKIPS, 1),
-            StoreOutcome::StoredEvicting => self.stats.add(jc::CACHE_EVICTIONS, 1),
-            StoreOutcome::Stored | StoreOutcome::Disabled => {}
+        if degraded {
+            self.stats.add(jc::CACHE_SKIPS, 1);
+            self.cache.skip_degraded();
+        } else if self.cache.store(fp, e, &out) {
+            self.stats.add(jc::CACHE_EVICTIONS, 1);
         }
         out
     }

@@ -9,22 +9,20 @@ use crate::summary::{
     SummaryResolver,
 };
 use crate::supervisor::{self, SupStats, SupStatsSnapshot, Supervised, SupervisorCfg, Watchdog};
-use cai_core::cache::{self as ccache, cs, Cache, StoreOutcome};
+use cai_core::cache::{self as ccache, cs};
 use cai_core::{
-    AbstractDomain, Budget, BudgetPolicy, CacheConfig, DegradationReport, Incident, IncidentKind,
-    SizeMeasures,
+    AbstractDomain, Budget, BudgetPolicy, DegradationReport, Incident, IncidentKind, SizeMeasures,
 };
 use cai_interp::{AnalysisConfig, Analyzer, AssertionOutcome, Module, Procedure};
 use cai_obs::provenance;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Per-job context specializations, tagged with the component index so
 /// the merge is deterministic regardless of completion order.
 type JobContexts = Vec<(usize, BTreeMap<String, Vec<Summary>>)>;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
 
 /// The per-procedure result of a batch analysis.
 #[derive(Clone, Debug)]
@@ -110,7 +108,7 @@ impl<'a> IntoIterator for &'a ModuleAnalysis {
 }
 
 /// One procedure's persisted analysis result — the [`SummaryCache`]'s
-/// value type under the unified [`Cache`] trait. Fields are sealed:
+/// value type. Fields are sealed:
 /// [`CacheEntry::new`] computes the integrity checksum at construction,
 /// so an entry can only disagree with its checksum through corruption.
 #[derive(Clone, Debug)]
@@ -237,12 +235,13 @@ impl std::fmt::Display for CacheStats {
 /// specialization, so re-analysis of a dirty caller reuses the entry
 /// contexts of its unchanged callees.
 ///
-/// Implements the unified [`Cache`] trait (`String` keys, [`CacheEntry`]
-/// values) and counts into a shared [`cai_core::CacheStats`] family.
+/// Keys are procedure names, values [`CacheEntry`]s; it counts into a
+/// shared [`cai_core::CacheStats`] family. Every run rebuilds the table
+/// to exactly the module's procedures, so it needs no capacity.
 /// **Clone semantics**: cloning *snapshots* the entries (each clone owns
 /// its table — the opposite of `SplitCache`, whose clones share) but
 /// *shares* the counters, so stats aggregate across clones.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SummaryCache {
     entries: BTreeMap<String, CacheEntry>,
     /// Exponentially decayed per-procedure incident counts (panics,
@@ -251,34 +250,13 @@ pub struct SummaryCache {
     /// this, so chronically faulty procedures stop soaking up fuel that
     /// healthy ones could convert into precision.
     incidents: BTreeMap<String, u64>,
-    /// Entry capacity ([`CacheConfig::summary_capacity`]); 0 disables
-    /// persistence entirely.
-    capacity: usize,
     stats: ccache::CacheStats,
 }
 
-impl Default for SummaryCache {
-    fn default() -> SummaryCache {
-        SummaryCache::with_config(&CacheConfig::default())
-    }
-}
-
 impl SummaryCache {
-    /// An empty cache with the default capacity.
+    /// An empty cache.
     pub fn new() -> SummaryCache {
         SummaryCache::default()
-    }
-
-    /// An empty cache sized by [`CacheConfig::summary_capacity`] — the
-    /// constructor [`Driver::analyze`] uses, fed from
-    /// `AnalysisConfig::cache`.
-    pub fn with_config(cfg: &CacheConfig) -> SummaryCache {
-        SummaryCache {
-            entries: BTreeMap::new(),
-            incidents: BTreeMap::new(),
-            capacity: cfg.summary_capacity,
-            stats: ccache::CacheStats::new(),
-        }
     }
 
     /// The number of cached procedures.
@@ -291,9 +269,29 @@ impl SummaryCache {
         self.entries.is_empty()
     }
 
+    /// The stored entry for a procedure. The table keys on the full
+    /// name, so every hit is trivially verified.
+    pub fn lookup(&self, name: &str) -> Option<&CacheEntry> {
+        self.entries.get(name)
+    }
+
+    /// Stores `entry` for the procedure `name` unless it is `degraded`.
+    /// Degraded results — every member of a job whose budget slice
+    /// degraded (quarantined reports included) or that read such a
+    /// job's summaries — are counted as skips and dropped: they are this-run survival measures and must never poison
+    /// a later run. A skip costs this run no precision, so it records no
+    /// provenance loss; the loss is recorded where the slice degraded.
+    pub fn store(&mut self, name: String, entry: CacheEntry, degraded: bool) {
+        if degraded {
+            self.stats.bump(cs::SKIPS);
+        } else {
+            self.entries.insert(name, entry);
+        }
+    }
+
     /// Cumulative hit/miss/eviction counters plus the current number of
     /// stored context specializations. A plain-data snapshot of the
-    /// unified counter family, kept for callers that diff two snapshots
+    /// cache's counter family, kept for callers that diff two snapshots
     /// to meter a region.
     pub fn stats(&self) -> CacheStats {
         let snap = self.stats.snapshot();
@@ -374,88 +372,10 @@ impl SummaryCache {
     }
 }
 
-impl Cache for SummaryCache {
-    type Key = String;
-    type Value = CacheEntry;
-
-    fn lookup(&self, key: &String) -> Option<CacheEntry> {
-        // BTreeMap keys on the full string — no fingerprint shortcut, so
-        // every hit is trivially verified.
-        self.entries.get(key).cloned()
-    }
-
-    fn store(&mut self, key: String, value: CacheEntry, degraded: bool) -> StoreOutcome {
-        if degraded {
-            // Quarantined results reach here with `degraded = true`: the
-            // ⊤ pin is a this-run survival measure and must never poison
-            // a later run (degradation-aware invalidation).
-            self.stats.bump(cs::SKIPS);
-            provenance::record_scoped(
-                &key,
-                provenance::LossKind::CacheSkippedDegraded,
-                "driver/summary-cache",
-                "driver",
-                0,
-                0,
-            );
-            return StoreOutcome::SkippedDegraded;
-        }
-        if self.capacity == 0 {
-            return StoreOutcome::Disabled;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            self.entries.clear();
-            self.stats.bump(cs::EVICTIONS);
-            self.entries.insert(key, value);
-            return StoreOutcome::StoredEvicting;
-        }
-        self.entries.insert(key, value);
-        StoreOutcome::Stored
-    }
-
-    fn invalidate(&mut self, key: &String) -> bool {
-        let removed = self.entries.remove(key).is_some();
-        if removed {
-            self.stats.bump(cs::EVICTIONS);
-        }
-        removed
-    }
-
-    fn clear(&mut self) {
-        // Entries go; the decayed incident history is observational
-        // state, not derived from the entries, and survives the clear —
-        // a chronically faulty procedure stays damped.
-        if !self.entries.is_empty() {
-            self.stats.bump(cs::INVALIDATIONS);
-        }
-        self.entries.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    fn stats(&self) -> &ccache::CacheStats {
-        &self.stats
-    }
-
-    fn checksum(&self) -> u64 {
-        // Folds the entries' own integrity digests (each covers its key
-        // via the report name), so the table checksum doubles as a
-        // content audit, not just a key census.
-        ccache::fold_checksum(self.entries.values().map(|e| e.checksum))
-    }
-}
-
 #[derive(Clone, Copy)]
 struct SolveCfg {
     widen_delay: usize,
     max_iterations: usize,
-    cache: CacheConfig,
     summary_widen_delay: usize,
     summary_rounds: usize,
     context_cap: usize,
@@ -463,17 +383,50 @@ struct SolveCfg {
     sup: SupervisorCfg,
 }
 
-/// One unit of work for a worker: a strongly connected component plus a
-/// snapshot of its external callees' (already final) summaries and the
-/// component's own budget slice (slices are per *job*, not per worker,
-/// so the fuel a component sees — and therefore every retry and
-/// quarantine decision — is independent of which thread runs it).
-struct Job {
-    scc: usize,
-    members: Vec<usize>,
-    external: BTreeMap<String, Summary>,
-    recursive: bool,
-    slice: Budget,
+impl SolveCfg {
+    /// A digest of every setting that can change a non-degraded result;
+    /// joins each procedure's cache key (see [`config_fingerprint`]).
+    /// The supervisor settings are left out: they decide only retries
+    /// and quarantines, whose results are never stored.
+    fn fingerprint(&self) -> u64 {
+        let mut h = Fnv64::new();
+        for n in [
+            self.widen_delay,
+            self.max_iterations,
+            self.summary_widen_delay,
+            self.summary_rounds,
+            self.context_cap,
+        ] {
+            h.write_u64(n as u64);
+        }
+        match self.policy {
+            BudgetPolicy::Flat => h.write_u64(0),
+            BudgetPolicy::Adaptive {
+                loop_fuel_per_weight,
+                narrow_rounds,
+                narrow_fuel_per_weight,
+            } => {
+                h.write_u64(1);
+                h.write_u64(loop_fuel_per_weight);
+                h.write_u64(u64::from(narrow_rounds));
+                h.write_u64(narrow_fuel_per_weight);
+            }
+        }
+        h.finish()
+    }
+}
+
+/// The scheduler state shared by the workers of one run, under one lock.
+struct Worklist<'a> {
+    /// Components whose dependencies are all final, lowest index first.
+    ready: BTreeSet<usize>,
+    /// Unfinished to-be-computed dependencies per component.
+    pending: BTreeMap<usize, usize>,
+    /// Jobs not yet finished.
+    remaining: usize,
+    summaries: &'a mut BTreeMap<String, Summary>,
+    reports: &'a mut BTreeMap<String, ProcReport>,
+    contexts: JobContexts,
 }
 
 /// The interprocedural batch driver.
@@ -661,8 +614,7 @@ where
 
     /// Analyzes every procedure of `module` from scratch.
     pub fn analyze(&self, module: &Module) -> ModuleAnalysis {
-        let mut cache = SummaryCache::with_config(&self.cfg.cache);
-        self.analyze_with_cache(module, &mut cache)
+        self.analyze_with_cache(module, &mut SummaryCache::new())
     }
 
     /// Analyzes `module`, reusing `cache` entries whose fingerprints
@@ -681,11 +633,21 @@ where
 
         let graph = CallGraph::build(module);
         let n_sccs = graph.sccs.len();
+        let cfg = SolveCfg {
+            widen_delay: self.cfg.widen_delay,
+            max_iterations: self.cfg.max_iterations,
+            summary_widen_delay: self.summary_widen_delay,
+            summary_rounds: self.summary_rounds,
+            context_cap: self.context_cap,
+            policy: self.cfg.policy,
+            sup: self.supervisor,
+        };
 
         // Fingerprints, callee-first, so every component sees its
         // external callees' fingerprints already computed. The driver's
-        // context configuration joins each member fingerprint, so
-        // changing `context_cap` invalidates the whole cache.
+        // settings join each member fingerprint, so changing any setting
+        // that can change a result invalidates the whole cache.
+        let settings = cfg.fingerprint();
         let mut proc_fps: BTreeMap<String, u64> = BTreeMap::new();
         for members in &graph.sccs {
             let procs: Vec<&Procedure> = members.iter().map(|&i| &module.procs[i]).collect();
@@ -693,7 +655,7 @@ where
             for p in &procs {
                 proc_fps.insert(
                     p.name.clone(),
-                    config_fingerprint(member_fingerprint(fp, &p.name), self.context_cap),
+                    config_fingerprint(member_fingerprint(fp, &p.name), settings),
                 );
             }
         }
@@ -768,45 +730,43 @@ where
         if self.cfg.policy.is_adaptive() {
             cai_obs::counter!("driver/policy/weighted-jobs").add(todo.len() as u64);
         }
-        let cfg = SolveCfg {
-            widen_delay: self.cfg.widen_delay,
-            max_iterations: self.cfg.max_iterations,
-            cache: self.cfg.cache,
-            summary_widen_delay: self.summary_widen_delay,
-            summary_rounds: self.summary_rounds,
-            context_cap: self.context_cap,
-            policy: self.cfg.policy,
-            sup: self.supervisor,
-        };
         let ctx_stats = CtxStats::new();
         let sup_stats = SupStats::new();
-        let (mut degradation, job_contexts) = if self.threads <= 1 || todo.len() <= 1 {
-            self.run_sequential(
-                module,
-                &graph,
-                &todo,
-                &weights,
-                cfg,
-                &seed,
-                &ctx_stats,
-                &sup_stats,
-                &mut summaries,
-                &mut reports,
-            )
-        } else {
-            self.run_parallel(
-                module,
-                &graph,
-                &todo,
-                &weights,
-                cfg,
-                &seed,
-                &ctx_stats,
-                &sup_stats,
-                &mut summaries,
-                &mut reports,
-            )
-        };
+        let slices = job_slices(&self.cfg.policy, &self.cfg.budget, &weights, todo.len());
+        let job_contexts = self.run_jobs(
+            module,
+            &graph,
+            &todo,
+            &slices,
+            cfg,
+            &seed,
+            &ctx_stats,
+            &sup_stats,
+            &mut summaries,
+            &mut reports,
+        );
+        let slice_reports: Vec<DegradationReport> = slices.iter().map(Budget::report).collect();
+        let mut degradation = DegradationReport::default();
+        for r in &slice_reports {
+            degradation.merge(r);
+        }
+        // Every member of a job whose slice degraded is stored as
+        // degraded, which the cache drops: its result is a this-run
+        // survival measure (a starved slice, a quarantine — which always
+        // degrades its slice — or a forced ⊤), and the next run should
+        // recompute the real summary. So is every job that read such a
+        // result: the next run recomputes the callee, and a caller reused
+        // beside it would keep the verdicts of the degraded summary.
+        // Indices are callee-first, so one pass sees every callee first.
+        let mut tainted = vec![false; n_sccs];
+        for (&c, r) in todo.iter().zip(&slice_reports) {
+            tainted[c] = r.degraded || r.exhausted || graph.deps[c].iter().any(|&d| tainted[d]);
+        }
+        let degraded: BTreeSet<&str> = todo
+            .iter()
+            .filter(|&&c| tainted[c])
+            .flat_map(|&c| graph.sccs[c].iter().map(|&i| module.procs[i].name.as_str()))
+            .collect();
         let main_report = self.cfg.budget.report();
         cache.absorb_incidents(
             degradation
@@ -854,17 +814,13 @@ where
             let Some(report) = reports.get(&p.name).cloned() else {
                 continue;
             };
-            // A quarantined result is stored as degraded, which the
-            // unified contract drops: the ⊤ pin is a this-run survival
-            // measure, and the next run should recompute the real
-            // summary.
-            let quarantined = report.quarantined;
+            let skip = degraded.contains(p.name.as_str());
             let contexts: Vec<Summary> = merged_contexts
                 .remove(&p.name)
                 .map(|m| m.into_values().take(self.context_cap).collect())
                 .unwrap_or_default();
             let entry = CacheEntry::new(fingerprint, report, contexts);
-            Cache::store(cache, p.name.clone(), entry, quarantined);
+            cache.store(p.name.clone(), entry, skip);
         }
 
         let ordered: Vec<ProcReport> = module
@@ -885,214 +841,126 @@ where
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal: mirrors run_parallel
-    fn run_sequential(
+    /// The shared-nothing worklist. Ready components wait in an ordered
+    /// set and are taken lowest index first; `threads` workers — the
+    /// calling thread is one of them, so `threads(1)` spawns nothing —
+    /// each take a component and an immutable snapshot of its external
+    /// callees' (already final) summaries, run it under the component's
+    /// budget slice outside the lock, then publish its reports and unlock
+    /// its dependents. Component indices are callee-first, so one worker runs
+    /// the components in index order. Budget slices and domain instances
+    /// are per *job*, not per worker, so outcomes cannot depend on which
+    /// thread ran a component. Context memo seeds are read-only and
+    /// shared; each job's computed contexts are returned in component
+    /// order, so the merged store is identical for every thread count.
+    #[allow(clippy::too_many_arguments)] // internal: the analysis state of one run
+    fn run_jobs(
         &self,
         module: &Module,
         graph: &CallGraph,
         todo: &[usize],
-        weights: &[u64],
+        slices: &[Budget],
         cfg: SolveCfg,
         seed: &BTreeMap<String, Vec<Summary>>,
         ctx_stats: &CtxStats,
         sup_stats: &SupStats,
         summaries: &mut BTreeMap<String, Summary>,
         reports: &mut BTreeMap<String, ProcReport>,
-    ) -> (DegradationReport, JobContexts) {
-        // The same per-job slices the parallel scheduler hands out, in
-        // the same (component-index) order, so the fuel each component
-        // sees — and every supervision decision derived from it — is
-        // identical for every thread count.
-        let slices = job_slices(&self.cfg.policy, &self.cfg.budget, weights, todo.len());
-        let mut job_contexts = Vec::new();
-        for (&c, slice) in todo.iter().zip(&slices) {
-            let members = &graph.sccs[c];
-            let external = external_snapshot(module, members, summaries);
+    ) -> JobContexts {
+        let job_slices: BTreeMap<usize, &Budget> = todo.iter().copied().zip(slices).collect();
+        // Dependency counts among the to-be-computed components only;
+        // reused dependencies are already in the summary table.
+        let mut pending: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut dependents: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &c in todo {
+            let deps: Vec<usize> = graph.deps[c]
+                .iter()
+                .copied()
+                .filter(|d| job_slices.contains_key(d))
+                .collect();
+            pending.insert(c, deps.len());
+            for d in deps {
+                dependents.entry(d).or_default().push(c);
+            }
+        }
+        let ready: BTreeSet<usize> = pending
+            .iter()
+            .filter(|(_, &n)| n == 0)
+            .map(|(&c, _)| c)
+            .collect();
+        let state = Mutex::new(Worklist {
+            ready,
+            pending,
+            remaining: todo.len(),
+            summaries,
+            reports,
+            contexts: Vec::new(),
+        });
+        let wake = Condvar::new();
+
+        let work = || loop {
+            let (c, external) = {
+                let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+                loop {
+                    if let Some(c) = st.ready.pop_first() {
+                        break (c, external_snapshot(module, &graph.sccs[c], st.summaries));
+                    }
+                    if st.remaining == 0 {
+                        return;
+                    }
+                    st = wake.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
+            };
+            // run_job never unwinds (its crash path quarantines instead),
+            // so every taken job is published below and no worker waits
+            // forever on a lost one.
             let (out, contexts) = run_job(
                 &self.factory,
                 module,
-                members,
+                &graph.sccs[c],
                 &external,
                 seed,
                 graph.is_recursive(c, module),
                 cfg,
-                slice,
+                job_slices[&c],
                 ctx_stats,
                 sup_stats,
             );
+            let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
             for r in out {
-                summaries.insert(r.name.clone(), r.summary.clone());
-                reports.insert(r.name.clone(), r);
+                st.summaries.insert(r.name.clone(), r.summary.clone());
+                st.reports.insert(r.name.clone(), r);
             }
-            job_contexts.push((c, contexts));
-        }
-        let mut degradation = DegradationReport::default();
-        for slice in &slices {
-            degradation.merge(&slice.report());
-        }
-        (degradation, job_contexts)
-    }
+            st.contexts.push((c, contexts));
+            st.remaining -= 1;
+            for &dep in dependents.get(&c).into_iter().flatten() {
+                if let Some(n) = st.pending.get_mut(&dep) {
+                    *n -= 1;
+                    if *n == 0 {
+                        st.ready.insert(dep);
+                    }
+                }
+            }
+            drop(st);
+            wake.notify_all();
+        };
 
-    /// The shared-nothing worklist: the main thread owns the summary
-    /// table and the condensation's dependency counts; workers pull jobs
-    /// (component + an immutable snapshot of its external callees'
-    /// summaries + the component's budget slice) from a mutex-guarded
-    /// queue, finished reports flow back over a channel, and completions
-    /// unlock dependent components. Budget slices and domain instances
-    /// are per *job*, not per worker, so outcomes cannot depend on which
-    /// thread ran a component. Context memo seeds are read-only and
-    /// shared; each job's computed contexts come back with its results
-    /// and are merged in component order, so the merged store is
-    /// identical for every thread count.
-    #[allow(clippy::too_many_arguments)] // internal: mirrors run_sequential
-    fn run_parallel(
-        &self,
-        module: &Module,
-        graph: &CallGraph,
-        todo: &[usize],
-        weights: &[u64],
-        cfg: SolveCfg,
-        seed: &BTreeMap<String, Vec<Summary>>,
-        ctx_stats: &CtxStats,
-        sup_stats: &SupStats,
-        summaries: &mut BTreeMap<String, Summary>,
-        reports: &mut BTreeMap<String, ProcReport>,
-    ) -> (DegradationReport, JobContexts) {
         let workers = self.threads.min(todo.len()).max(1);
-        let slices = job_slices(&self.cfg.policy, &self.cfg.budget, weights, todo.len());
-        let job_slices: BTreeMap<usize, Budget> =
-            todo.iter().copied().zip(slices.iter().cloned()).collect();
-
-        // Dependency counts among the to-be-computed components only;
-        // reused dependencies are already in the summary table.
-        let todo_set: Vec<bool> = {
-            let mut v = vec![false; graph.sccs.len()];
-            for &c in todo {
-                v[c] = true;
-            }
-            v
-        };
-        let mut indegree: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut dependents: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &c in todo {
-            let pending = graph.deps[c].iter().filter(|&&d| todo_set[d]).count();
-            indegree.insert(c, pending);
-            for &d in &graph.deps[c] {
-                if todo_set[d] {
-                    dependents.entry(d).or_default().push(c);
-                }
-            }
-        }
-
-        let queue: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
-        let ready = Condvar::new();
-        let done = AtomicBool::new(false);
-        type JobResult = (usize, Vec<ProcReport>, BTreeMap<String, Vec<Summary>>);
-        let (result_tx, result_rx) = mpsc::channel::<JobResult>();
-
-        let push_job = |c: usize, summaries: &BTreeMap<String, Summary>| {
-            let members = graph.sccs[c].clone();
-            let external = external_snapshot(module, &members, summaries);
-            let job = Job {
-                scc: c,
-                members,
-                external,
-                recursive: graph.is_recursive(c, module),
-                slice: job_slices[&c].clone(),
-            };
-            queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(job);
-            ready.notify_one();
-        };
-
-        let mut job_contexts = Vec::new();
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = result_tx.clone();
-                let queue = &queue;
-                let ready = &ready;
-                let done = &done;
-                let factory = &self.factory;
-                let ctx_stats = ctx_stats.clone();
-                let sup_stats = sup_stats.clone();
-                s.spawn(move || loop {
-                    let job = {
-                        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if let Some(job) = q.pop_front() {
-                                break job;
-                            }
-                            if done.load(Ordering::Acquire) {
-                                return;
-                            }
-                            q = ready.wait(q).unwrap_or_else(|e| e.into_inner());
-                        }
-                    };
-                    // run_job never unwinds (its crash path quarantines
-                    // instead), so the result send below always happens
-                    // and the main thread's `remaining` count never
-                    // deadlocks on a lost worker.
-                    let (out, contexts) = run_job(
-                        factory,
-                        module,
-                        &job.members,
-                        &job.external,
-                        seed,
-                        job.recursive,
-                        cfg,
-                        &job.slice,
-                        &ctx_stats,
-                        &sup_stats,
-                    );
-                    if tx.send((job.scc, out, contexts)).is_err() {
-                        return;
-                    }
-                });
+            for _ in 1..workers {
+                s.spawn(work);
             }
-            drop(result_tx);
-
-            for (&c, &pending) in &indegree {
-                if pending == 0 {
-                    push_job(c, summaries);
-                }
-            }
-            let mut remaining = todo.len();
-            while remaining > 0 {
-                let Ok((c, out, contexts)) = result_rx.recv() else {
-                    break; // all workers gone — nothing more will arrive
-                };
-                remaining -= 1;
-                for r in out {
-                    summaries.insert(r.name.clone(), r.summary.clone());
-                    reports.insert(r.name.clone(), r);
-                }
-                job_contexts.push((c, contexts));
-                if let Some(deps) = dependents.get(&c) {
-                    for &dep in deps {
-                        if let Some(count) = indegree.get_mut(&dep) {
-                            *count -= 1;
-                            if *count == 0 {
-                                push_job(dep, summaries);
-                            }
-                        }
-                    }
-                }
-            }
-            done.store(true, Ordering::Release);
-            ready.notify_all();
+            work();
         });
 
+        let mut contexts = state
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .contexts;
         // Completion order is scheduling-dependent; merge order must not
         // be.
-        job_contexts.sort_by_key(|(c, _)| *c);
-
-        let mut degradation = DegradationReport::default();
-        for slice in &slices {
-            degradation.merge(&slice.report());
-        }
-        (degradation, job_contexts)
+        contexts.sort_by_key(|(c, _)| *c);
+        contexts
     }
 }
 
@@ -1205,7 +1073,7 @@ fn quarantined_pass(proc: &Procedure) -> ProcPass {
 /// re-dispatch *inside* the job — rather than replacing worker threads —
 /// makes the outcome a pure function of the job's inputs and its budget
 /// slice, so it cannot depend on which thread ran the component.
-#[allow(clippy::too_many_arguments)] // internal solver shared by both schedulers
+#[allow(clippy::too_many_arguments)] // internal: the inputs of one component job
 fn run_job<D, F>(
     factory: &F,
     module: &Module,
@@ -1317,7 +1185,7 @@ where
 /// callee on the caller's entry condition; calls within the component
 /// keep reading the Jacobi iterates context-insensitively. The job's
 /// computed specializations are returned for the incremental cache.
-#[allow(clippy::too_many_arguments)] // internal solver shared by both schedulers
+#[allow(clippy::too_many_arguments)] // internal: the inputs of one component job
 fn solve_scc<D, F>(
     factory: &F,
     module: &Module,
@@ -1345,7 +1213,6 @@ where
         max_iterations: cfg.max_iterations,
         budget: budget.clone(),
         policy: cfg.policy,
-        cache: cfg.cache,
     };
     let ctx_resolver = (cfg.context_cap > 0).then(|| {
         ContextResolver::new(
@@ -1370,7 +1237,6 @@ where
                 max_iterations: cfg.max_iterations,
                 budget: ab.clone(),
                 policy: cfg.policy,
-                cache: cfg.cache,
             };
             let analysis = match &ctx_resolver {
                 Some(resolver) => {

@@ -18,8 +18,8 @@
 //!   callee from that entry, and memoizes the specialization per
 //!   `(procedure, entry-key)` — capped per procedure, with overflow
 //!   entries widened together so analysis still terminates;
-//! - [`Driver`] runs the batch: sequentially, or farming independent
-//!   components to a fixed pool of shared-nothing worker threads (every
+//! - [`Driver`] runs the batch on one worklist served by
+//!   [`threads`](Driver::threads) shared-nothing workers (every
 //!   component job owns its domain instance and
 //!   [`Budget`](cai_core::Budget) slice; only immutable summaries cross
 //!   threads, so results are identical for every thread count). Each
@@ -33,8 +33,8 @@
 //!   contexts; `context_cap(0)` reproduces the context-insensitive
 //!   driver bit-for-bit;
 //! - [`SummaryCache`] makes re-analysis incremental: procedures are
-//!   fingerprinted over their text, transitive callee cone, and context
-//!   configuration; an edit re-analyzes only its dirty cone
+//!   fingerprinted over their text, transitive callee cone, and the
+//!   driver settings; an edit re-analyzes only its dirty cone
 //!   ([`ModuleAnalysis::reused`] / [`ModuleAnalysis::recomputed`] count
 //!   the split) and fingerprint-valid context specializations are
 //!   reused across runs ([`SummaryCache::stats`]).

@@ -422,14 +422,16 @@ pub fn member_fingerprint(scc_fp: u64, name: &str) -> u64 {
     h.finish()
 }
 
-/// Mixes the driver's context-sensitivity configuration into a member
-/// fingerprint, so entry-keyed results (the cached report *and* its
-/// context specializations) are invalidated when the `context_cap` knob
-/// changes — the entry keys join the dirty-cone fingerprint.
-pub fn config_fingerprint(member_fp: u64, context_cap: usize) -> u64 {
+/// Mixes the driver's settings into a member fingerprint, so a cached
+/// result (the report *and* its context specializations) is reused only
+/// under the settings it was computed with. `settings` is a digest of
+/// every driver setting that can change a non-degraded result: the
+/// widening delay, the iteration cap, the budget policy, the summary
+/// round cap, the summary widening delay and the context cap.
+pub fn config_fingerprint(member_fp: u64, settings: u64) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(member_fp);
-    h.write_u64(context_cap as u64);
+    h.write_u64(settings);
     h.finish()
 }
 

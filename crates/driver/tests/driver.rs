@@ -284,56 +284,94 @@ fn summary_cache_reports_its_size() {
 }
 
 #[test]
-fn disabled_summary_cache_persists_nothing() {
-    use cai_core::CacheConfig;
-    let m = module(
-        "proc f(a) { ret := a + 1; }
-         proc g(b) { r := call f(b); ret := r; }",
-    );
-    let mut cache = SummaryCache::with_config(&CacheConfig::disabled());
-    let first = affine().analyze_with_cache(&m, &mut cache);
-    assert!(cache.is_empty(), "capacity 0 must disable persistence");
-    // A second run over the empty cache recomputes everything — with
-    // results identical to a cached driver's.
-    let second = affine().analyze_with_cache(&m, &mut cache);
-    assert_eq!((second.reused, second.recomputed), (0, 2));
-    let cached = affine().analyze(&m);
-    for (a, b) in first.reports.iter().zip(cached.reports.iter()) {
-        assert_eq!(a.summary, b.summary);
-    }
-}
-
-#[test]
-fn summary_cache_unified_trait_surface() {
-    use cai_core::{Cache, StoreOutcome};
+fn summary_cache_lookup_and_degraded_store() {
     let m = module(
         "proc f(a) { ret := a + 1; }
          proc g(b) { r := call f(b); ret := r; }",
     );
     let mut cache = SummaryCache::new();
     affine().analyze_with_cache(&m, &mut cache);
-    assert_eq!(Cache::len(&cache), 2);
+    assert_eq!(cache.len(), 2);
 
-    // Verified lookup: present key round-trips, absent key misses.
-    let entry = Cache::lookup(&cache, &"f".to_string()).expect("f is cached");
+    // Lookup: a present name round-trips, an absent one misses.
+    let entry = cache.lookup("f").expect("f is cached").clone();
     assert_eq!(entry.report().name, "f");
-    assert!(Cache::lookup(&cache, &"missing".to_string()).is_none());
+    assert!(cache.lookup("missing").is_none());
 
-    // The checksum is content-derived: invalidating an entry changes it.
-    let sum_before = Cache::checksum(&cache);
-    assert!(Cache::invalidate(&mut cache, &"f".to_string()));
-    assert!(!Cache::invalidate(&mut cache, &"f".to_string()));
-    assert_ne!(Cache::checksum(&cache), sum_before);
+    // A degraded store is dropped; a healthy one is kept.
+    cache.store("h".to_string(), entry.clone(), true);
+    assert!(cache.lookup("h").is_none());
+    assert_eq!(cache.len(), 2);
+    cache.store("h".to_string(), entry, false);
+    assert!(cache.lookup("h").is_some());
+}
 
-    // Degradation-aware invalidation: a degraded store is dropped.
-    assert_eq!(
-        Cache::store(&mut cache, "f".to_string(), entry, true),
-        StoreOutcome::SkippedDegraded
+/// A cached result may be reused only if the run that stored it was
+/// healthy and ran under the same settings: a starved run must not leave
+/// a verdict behind that a later, well-funded run picks up — neither in
+/// the starved procedure nor in a caller that read its summary.
+#[test]
+fn degraded_runs_leave_no_stale_verdicts_in_the_summary_cache() {
+    let m = module(
+        "proc f(n) { i := 0; x := n; while (*) { i := i + 1; x := x + 1; } ret := x - i; }
+         proc main(n) { r := call f(n); assert(r = n); }",
     );
-    assert!(Cache::lookup(&cache, &"f".to_string()).is_none());
+    assert_eq!(verdicts(&affine().analyze(&m), "main"), [true]);
 
-    Cache::clear(&mut cache);
-    assert!(Cache::is_empty(&cache));
+    let mut cache = SummaryCache::new();
+    let starved = affine()
+        .with_budget(Budget::fuel(0))
+        .analyze_with_cache(&m, &mut cache);
+    assert!(starved.degradation.exhausted);
+    let stored = cache.len();
+    let warm = affine().analyze_with_cache(&m, &mut cache);
+    assert_eq!(
+        verdicts(&warm, "main"),
+        [true],
+        "a stale verdict was reused"
+    );
+    assert_eq!((warm.reused, warm.recomputed), (0, 2));
+    assert_eq!(stored, 0, "a starved job's members must not be stored");
+
+    // Small pools starve only `f`'s slice; `main` read its summary.
+    for fuel in 1..=16 {
+        let mut cache = SummaryCache::new();
+        affine()
+            .with_budget(Budget::fuel(fuel))
+            .analyze_with_cache(&m, &mut cache);
+        let warm = affine().analyze_with_cache(&m, &mut cache);
+        assert_eq!(
+            verdicts(&warm, "main"),
+            [true],
+            "fuel {fuel}: stale verdict"
+        );
+    }
+}
+
+/// Every driver setting that can change a non-degraded result joins the
+/// summary-cache key: a run under a changed setting reuses nothing.
+#[test]
+fn every_result_setting_joins_the_summary_cache_key() {
+    use cai_core::BudgetPolicy;
+    let m = module(
+        "proc f(n) { i := 0; x := n; while (*) { i := i + 1; x := x + 1; } ret := x - i; }
+         proc main(n) { r := call f(n); assert(r = n); }",
+    );
+    let changed = [
+        affine().widen_delay(5),
+        affine().max_iterations(7),
+        affine().budget_policy(BudgetPolicy::adaptive()),
+        affine().summary_rounds(3),
+        affine().context_cap(2),
+    ];
+    for (k, driver) in changed.iter().enumerate() {
+        let mut cache = SummaryCache::new();
+        affine().analyze_with_cache(&m, &mut cache);
+        let a = driver.analyze_with_cache(&m, &mut cache);
+        assert_eq!((a.reused, a.recomputed), (0, 2), "setting #{k}");
+        let again = driver.analyze_with_cache(&m, &mut cache);
+        assert_eq!((again.reused, again.recomputed), (2, 0), "setting #{k}");
+    }
 }
 
 #[test]
@@ -408,7 +446,8 @@ fn shared_split_cache_is_deterministic_across_thread_counts() {
     );
 
     let run = |threads: usize, capacity: usize| {
-        let cache: SplitCache<_, _> = SplitCache::with_capacity(capacity);
+        let cache: SplitCache<_, _> =
+            SplitCache::with_capacity(capacity, cai_core::DEFAULT_TERM_MEMO_CAPACITY);
         let stats = JoinStats::new();
         let driver = Driver::new({
             let cache = cache.clone();

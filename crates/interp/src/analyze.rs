@@ -3,9 +3,7 @@
 //! widening (§4.3).
 
 use crate::ast::{stmt_measures, Cond, Program, Stmt};
-use cai_core::{
-    AbstractDomain, Budget, BudgetPolicy, CacheConfig, DegradationReport, SizeMeasures,
-};
+use cai_core::{AbstractDomain, Budget, BudgetPolicy, DegradationReport, SizeMeasures};
 use cai_obs::provenance;
 use cai_term::{Atom, Conj, Term, Var, VarSet};
 use std::collections::BTreeMap;
@@ -102,24 +100,17 @@ pub struct AnalysisConfig {
     /// reproduces the pre-policy engine bit for bit: loops share the
     /// budget directly and no narrowing runs.
     pub policy: BudgetPolicy,
-    /// The unified cache configuration ([`cai_core::cache`]): sizes the
-    /// logical product's split cache + per-alien-term memo (consumers that
-    /// build products pass this to `LogicalProduct::with_cache_config`)
-    /// and the driver's summary cache. Defaults reproduce the
-    /// pre-redesign behavior of every cache.
-    pub cache: CacheConfig,
 }
 
 impl AnalysisConfig {
     /// The default configuration: widening after 4 rounds, iteration cap
-    /// 60, unlimited budget, flat (non-adaptive) policy, default caches.
+    /// 60, unlimited budget, flat (non-adaptive) policy.
     pub fn new() -> AnalysisConfig {
         AnalysisConfig {
             widen_delay: 4,
             max_iterations: 60,
             budget: Budget::unlimited(),
             policy: BudgetPolicy::Flat,
-            cache: CacheConfig::default(),
         }
     }
 
@@ -144,12 +135,6 @@ impl AnalysisConfig {
     /// Sets the budget policy (see [`BudgetPolicy`]).
     pub fn with_policy(mut self, policy: BudgetPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets the cache configuration (see [`CacheConfig`]).
-    pub fn with_cache(mut self, cache: CacheConfig) -> Self {
-        self.cache = cache;
         self
     }
 }

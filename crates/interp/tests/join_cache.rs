@@ -48,7 +48,8 @@ fn summary(
 fn analysis_is_bit_identical_with_and_without_cache() {
     let (_v, p) = program();
     let with_cache = Product::new(AffineEq::new(), UfDomain::new());
-    let without = Product::new(AffineEq::new(), UfDomain::new()).with_split_cache_capacity(0);
+    let without = Product::new(AffineEq::new(), UfDomain::new())
+        .with_split_cache(SplitCache::with_capacity(0, 0));
 
     let a = Analyzer::new(&with_cache).run(&p);
     let b = Analyzer::new(&without).run(&p);
@@ -98,7 +99,8 @@ fn starved_round_does_not_poison_later_analyses() {
     }
 
     let funded = Product::new(AffineEq::new(), UfDomain::new()).with_split_cache(shared);
-    let fresh = Product::new(AffineEq::new(), UfDomain::new()).with_split_cache_capacity(0);
+    let fresh = Product::new(AffineEq::new(), UfDomain::new())
+        .with_split_cache(SplitCache::with_capacity(0, 0));
     let a = Analyzer::new(&funded).run(&p);
     let b = Analyzer::new(&fresh).run(&p);
     assert_eq!(

@@ -248,7 +248,7 @@ pub fn record(kind: LossKind, site: &'static str, domain: &str, round: u64, fuel
 
 /// Like [`record`], but under an explicit scope instead of the calling
 /// thread's — for losses attributed to a procedure from outside its
-/// analysis (quarantines, summary-cache skips).
+/// analysis (quarantines).
 #[inline]
 pub fn record_scoped(
     scope: &str,
