@@ -6,7 +6,8 @@
 #   3. lint, all targets     (clippy, warnings; tests/bins may unwrap)
 #   4. release build
 #   5. test suite
-#   6. smokes: driver_eval, paper_eval, perfbench probes
+#   6. smokes: driver_eval, paper_eval, perfbench probes pinned to
+#      tests/data/perfbench_probes.txt
 #
 # Everything runs with --offline: the workspace has no external
 # dependencies and must keep building in a network-less container.
@@ -115,16 +116,26 @@ if [ "$idents" -ne 3 ]; then
 fi
 rm -f "$join_log"
 
-echo "== perfbench build + probes =="
+echo "== perfbench build + pinned probes =="
 # The benchmark is a package of its own that imports the library crates'
 # public API; building it here makes an API break fail CI instead of the
 # benchmark run. Each --probe is one analysis with a known-answer check
-# (exit 1 on any mismatch).
+# (exit 1 on any mismatch) that prints every count of the analysis and a
+# digest of its result. tests/data/perfbench_probes.txt pins that output
+# for every workload at seeds 1-3, so a hot-path change that moves any
+# count or result fails here. Regenerate it only for an intended change.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+probes=$(mktemp /tmp/cai-probes.XXXXXX.txt)
 for workload in batch calls edit; do
-    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 --probe
-done
+    for seed in 1 2 3; do
+        line=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed "$seed" --seconds 1 --trace 0 --probe)
+        echo "$workload seed=$seed $line"
+    done
+done > "$probes"
+diff tests/data/perfbench_probes.txt "$probes" || {
+    echo "perfbench probe output differs from tests/data/perfbench_probes.txt"; exit 1; }
+rm -f "$probes"
 
 echo "== precision-provenance smoke (--blame / --blame-out) =="
 # paper_eval --blame exits nonzero unless the canonical widening loss is

@@ -18,9 +18,13 @@
 //! ```
 //!
 //! Line comments start with `//`.
+//!
+//! Blocks nest at most [`MAX_NESTING`] levels deep, and so do the terms
+//! inside statements; deeper input is rejected with
+//! [`ParseErrorKind::TooDeep`] instead of overflowing the stack.
 
 use crate::ast::{Cond, Module, Procedure, Program, Stmt};
-use cai_term::parse::Vocab;
+use cai_term::parse::{ParseError, ParseErrorKind, Vocab, MAX_NESTING};
 use cai_term::Var;
 use std::fmt;
 
@@ -29,6 +33,7 @@ use std::fmt;
 pub struct ProgramParseError {
     msg: String,
     line: usize,
+    kind: ParseErrorKind,
 }
 
 impl ProgramParseError {
@@ -36,7 +41,13 @@ impl ProgramParseError {
         ProgramParseError {
             msg: msg.into(),
             line,
+            kind: ParseErrorKind::Syntax,
         }
+    }
+
+    /// What kind of failure this is.
+    pub fn kind(&self) -> ParseErrorKind {
+        self.kind
     }
 }
 
@@ -59,6 +70,7 @@ pub fn parse_program(vocab: &Vocab, src: &str) -> Result<Program, ProgramParseEr
         vocab,
         src: &strip_comments(src),
         pos: 0,
+        depth: 0,
     };
     let stmts = p.stmts(true)?;
     Ok(Program { stmts })
@@ -77,6 +89,7 @@ pub fn parse_module(vocab: &Vocab, src: &str) -> Result<Module, ProgramParseErro
         vocab,
         src: &stripped,
         pos: 0,
+        depth: 0,
     };
     let mut procs: Vec<Procedure> = Vec::new();
     while !p.at_end() {
@@ -125,6 +138,8 @@ struct ProgParser<'a> {
     vocab: &'a Vocab,
     src: &'a str,
     pos: usize,
+    /// The number of blocks open at `pos`.
+    depth: usize,
 }
 
 impl<'a> ProgParser<'a> {
@@ -134,6 +149,14 @@ impl<'a> ProgParser<'a> {
 
     fn err(&self, msg: impl Into<String>) -> ProgramParseError {
         ProgramParseError::new(msg, self.line())
+    }
+
+    /// Reports a failure of the embedded term grammar, keeping its kind.
+    fn term_err(&self, context: String, e: ParseError) -> ProgramParseError {
+        ProgramParseError {
+            kind: e.kind(),
+            ..self.err(format!("{context}: {e}"))
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -233,7 +256,16 @@ impl<'a> ProgParser<'a> {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ProgramParseError> {
         self.expect("{")?;
-        let body = self.stmts(false)?;
+        if self.depth == MAX_NESTING {
+            return Err(ProgramParseError {
+                kind: ParseErrorKind::TooDeep,
+                ..self.err(format!("blocks nested deeper than {MAX_NESTING} levels"))
+            });
+        }
+        self.depth += 1;
+        let body = self.stmts(false);
+        self.depth -= 1;
+        let body = body?;
         self.expect("}")?;
         Ok(body)
     }
@@ -246,7 +278,7 @@ impl<'a> ProgParser<'a> {
         let atom = self
             .vocab
             .parse_atom(&inner)
-            .map_err(|e| self.err(format!("in condition `{inner}`: {e}")))?;
+            .map_err(|e| self.term_err(format!("in condition `{inner}`"), e))?;
         Ok(Cond::Atom(atom))
     }
 
@@ -279,7 +311,7 @@ impl<'a> ProgParser<'a> {
             let atom = self
                 .vocab
                 .parse_atom(&inner)
-                .map_err(|e| self.err(format!("in assume `{inner}`: {e}")))?;
+                .map_err(|e| self.term_err(format!("in assume `{inner}`"), e))?;
             self.expect(";")?;
             return Ok(Stmt::Assume(atom));
         }
@@ -290,7 +322,7 @@ impl<'a> ProgParser<'a> {
             let atom = self
                 .vocab
                 .parse_atom(&inner)
-                .map_err(|e| self.err(format!("in assert `{inner}`: {e}")))?;
+                .map_err(|e| self.term_err(format!("in assert `{inner}`"), e))?;
             self.expect(";")?;
             return Ok(Stmt::Assert(atom));
         }
@@ -321,7 +353,7 @@ impl<'a> ProgParser<'a> {
                 let t = self
                     .vocab
                     .parse_term(piece)
-                    .map_err(|e| self.err(format!("in call argument `{piece}`: {e}")))?;
+                    .map_err(|e| self.term_err(format!("in call argument `{piece}`"), e))?;
                 args.push(t);
             }
             return Ok(Stmt::Call(Var::named(&name), callee, args));
@@ -330,7 +362,7 @@ impl<'a> ProgParser<'a> {
         let rhs = self
             .vocab
             .parse_term(&rhs_src)
-            .map_err(|e| self.err(format!("in `{name} := {rhs_src}`: {e}")))?;
+            .map_err(|e| self.term_err(format!("in `{name} := {rhs_src}`"), e))?;
         Ok(Stmt::Assign(Var::named(&name), rhs))
     }
 }

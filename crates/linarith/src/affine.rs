@@ -3,9 +3,7 @@
 //! Müller-Olm & Seidl [18]).
 
 use crate::expr::AffExpr;
-use crate::matrix::{null_space, Matrix};
 use cai_core::{AbstractDomain, Partition, TheoryProps};
-use cai_num::Rat;
 use cai_term::{Atom, Conj, Sig, Term, TheoryTag, Var, VarSet};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -122,89 +120,54 @@ impl AffineElem {
         out
     }
 
-    /// The generator representation over the universe `u`: a particular
-    /// point and a basis of direction vectors (all as `Var → Rat` maps;
-    /// absent entries are zero).
-    fn generators(&self, u: &VarSet) -> (BTreeMap<Var, Rat>, Vec<BTreeMap<Var, Rat>>) {
-        let rows = self.rows();
-        let pivots: VarSet = rows.iter().filter_map(AffExpr::leading_var).collect();
-        // Particular point: all free variables 0, pivots forced.
-        let mut point = BTreeMap::new();
-        for r in rows {
-            let Some(p) = r.leading_var() else { continue };
-            let v = -r.constant_part().clone();
-            if !v.is_zero() {
-                point.insert(p, v);
-            }
-        }
-        // One direction per free variable of the universe.
-        let mut basis = Vec::new();
-        for &f in u.iter().filter(|v| !pivots.contains(v)) {
-            let mut dir = BTreeMap::new();
-            dir.insert(f, Rat::one());
-            for r in rows {
-                let c = r.coeff(f);
-                if !c.is_zero() {
-                    let Some(p) = r.leading_var() else { continue };
-                    dir.insert(p, -c);
-                }
-            }
-            basis.push(dir);
-        }
-        (point, basis)
-    }
-
     /// The affine hull of two elements (the join in the logical lattice of
     /// linear equalities).
+    ///
+    /// An equality `e = 0` holds on a nonempty affine subspace iff `e`,
+    /// read as a vector over the variables and the constant, lies in the
+    /// span of the subspace's rows. So the hull's equalities are the
+    /// intersection of the two row spaces, computed sparsely by the
+    /// Zassenhaus method: reduce each row `b` of `other`, paired as
+    /// `(b, 0)`, against the pairs `(a, a)` for the rows `a` of `self`,
+    /// applying every step to both halves. A pair whose left half reaches
+    /// zero carries in its right half a vector of both row spaces, and
+    /// these vectors span the intersection. The constant acts as one more
+    /// column, ordered after every variable.
     pub fn hull(&self, other: &AffineElem) -> AffineElem {
-        if self.is_bottom() {
-            return other.clone();
-        }
-        if other.is_bottom() {
-            return self.clone();
-        }
-        let mut u = self.vars();
-        u.extend(other.vars());
-        let order: Vec<Var> = u.iter().copied().collect();
-        let n = order.len();
-        let (p1, mut dirs) = self.generators(&u);
-        let (p2, dirs2) = other.generators(&u);
-        dirs.extend(dirs2);
-        // Direction p2 - p1 connects the two subspaces.
-        let mut connect = BTreeMap::new();
-        for &v in &order {
-            let d = &p2.get(&v).cloned().unwrap_or_else(Rat::zero)
-                - &p1.get(&v).cloned().unwrap_or_else(Rat::zero);
-            if !d.is_zero() {
-                connect.insert(v, d);
-            }
-        }
-        dirs.push(connect);
-        // Find all (α, c) with α·p1 + c = 0 and α·dir = 0 for every dir:
-        // the null space of the condition matrix over unknowns (α_v.., c).
-        let mut m: Matrix = Vec::with_capacity(dirs.len() + 1);
-        let mut prow: Vec<Rat> = order
+        let (Some(mine), Some(theirs)) = (&self.rows, &other.rows) else {
+            return if self.is_bottom() { other } else { self }.clone();
+        };
+        // Echelon triples (pivot, left, right), sorted by the pivot of the
+        // left half with the constant column (`None`) last, and scaled so
+        // the pivot coefficient is one.
+        let order = |p: &Option<Var>| (p.is_none(), *p);
+        let at = |e: &AffExpr, p: Option<Var>| match p {
+            Some(v) => e.coeff(v),
+            None => e.constant_part().clone(),
+        };
+        let mut echelon: Vec<(Option<Var>, AffExpr, AffExpr)> = mine
             .iter()
-            .map(|v| p1.get(v).cloned().unwrap_or_else(Rat::zero))
+            .map(|a| (a.leading_var(), a.clone(), a.clone()))
             .collect();
-        prow.push(Rat::one()); // coefficient of c
-        m.push(prow);
-        for dir in &dirs {
-            let mut row: Vec<Rat> = order
-                .iter()
-                .map(|v| dir.get(v).cloned().unwrap_or_else(Rat::zero))
-                .collect();
-            row.push(Rat::zero());
-            m.push(row);
-        }
-        let alphas = null_space(&m, n + 1);
         let mut out = AffineElem::top();
-        for alpha in alphas {
-            let mut e = AffExpr::constant(alpha[n].clone());
-            for (i, &v) in order.iter().enumerate() {
-                e.add_var(v, &alpha[i]);
+        for b in theirs {
+            let (mut left, mut right) = (b.clone(), AffExpr::zero());
+            for (p, l, r) in &echelon {
+                let c = at(&left, *p);
+                if !c.is_zero() {
+                    let f = -c;
+                    left.add_scaled(&f, l);
+                    right.add_scaled(&f, r);
+                }
             }
-            out.insert(&e);
+            if left.is_zero() {
+                out.insert(&right);
+                continue;
+            }
+            let p = left.leading_var();
+            let inv = at(&left, p).recip();
+            let idx = echelon.partition_point(|(q, ..)| order(q) < order(&p));
+            echelon.insert(idx, (p, left.scale(&inv), right.scale(&inv)));
         }
         out
     }
@@ -382,16 +345,15 @@ impl AbstractDomain for AffineEq {
             return p;
         }
         // Two variables are equal iff their canonical residues coincide.
-        let mut by_canon: BTreeMap<String, Var> = BTreeMap::new();
+        let mut by_canon: BTreeMap<AffExpr, Var> = BTreeMap::new();
         for v in e.vars() {
             let canon = e.reduce(&AffExpr::var(v));
-            let key = canon.to_term().to_string();
-            match by_canon.get(&key) {
+            match by_canon.get(&canon) {
                 Some(&first) => {
                     p.union(first, v);
                 }
                 None => {
-                    by_canon.insert(key, v);
+                    by_canon.insert(canon, v);
                 }
             }
         }

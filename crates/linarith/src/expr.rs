@@ -12,9 +12,13 @@ use std::fmt;
 /// Unlike [`LinExpr`], whose atoms may be arbitrary non-arithmetic terms,
 /// an `AffExpr` is the *pure* linear-arithmetic fragment: converting a term
 /// that still contains foreign function symbols fails.
-#[derive(Clone, PartialEq, Eq, Default)]
+///
+/// The order compares the coefficient rows and then the constants; it
+/// only serves to key maps by expression.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct AffExpr {
-    coeffs: BTreeMap<Var, Rat>,
+    /// Sorted by variable, with no zero coefficients.
+    coeffs: Vec<(Var, Rat)>,
     konst: Rat,
 }
 
@@ -39,17 +43,15 @@ impl AffExpr {
     /// A constant expression.
     pub fn constant(c: Rat) -> AffExpr {
         AffExpr {
-            coeffs: BTreeMap::new(),
+            coeffs: Vec::new(),
             konst: c,
         }
     }
 
     /// The expression `1·v`.
     pub fn var(v: Var) -> AffExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, Rat::one());
         AffExpr {
-            coeffs,
+            coeffs: vec![(v, Rat::one())],
             konst: Rat::zero(),
         }
     }
@@ -91,16 +93,25 @@ impl AffExpr {
         if coeff.is_zero() {
             return;
         }
-        let entry = self.coeffs.entry(v).or_insert_with(Rat::zero);
-        *entry = &*entry + coeff;
-        if entry.is_zero() {
-            self.coeffs.remove(&v);
+        match self.coeffs.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                let sum = &self.coeffs[i].1 + coeff;
+                if sum.is_zero() {
+                    self.coeffs.remove(i);
+                } else {
+                    self.coeffs[i].1 = sum;
+                }
+            }
+            Err(i) => self.coeffs.insert(i, (v, coeff.clone())),
         }
     }
 
     /// The coefficient of `v` (zero if absent).
     pub fn coeff(&self, v: Var) -> Rat {
-        self.coeffs.get(&v).cloned().unwrap_or_else(Rat::zero)
+        match self.coeffs.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.coeffs[i].1.clone(),
+            Err(_) => Rat::zero(),
+        }
     }
 
     /// The constant part.
@@ -121,12 +132,12 @@ impl AffExpr {
     /// The variable with the smallest interning index (the pivot choice),
     /// if any.
     pub fn leading_var(&self) -> Option<Var> {
-        self.coeffs.keys().next().copied()
+        self.coeffs.first().map(|&(v, _)| v)
     }
 
     /// Iterates over `(variable, coefficient)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Rat)> {
-        self.coeffs.iter()
+        self.coeffs.iter().map(|(v, c)| (v, c))
     }
 
     /// The number of variables with nonzero coefficient.
@@ -136,22 +147,21 @@ impl AffExpr {
 
     /// The variables of the expression.
     pub fn vars(&self) -> VarSet {
-        self.coeffs.keys().copied().collect()
+        self.coeffs.iter().map(|&(v, _)| v).collect()
     }
 
     /// `self + other`.
     pub fn add(&self, other: &AffExpr) -> AffExpr {
         let mut out = self.clone();
-        out.konst = &out.konst + &other.konst;
-        for (v, c) in &other.coeffs {
-            out.add_var(*v, c);
-        }
+        out.add_scaled(&Rat::one(), other);
         out
     }
 
     /// `self - other`.
     pub fn sub(&self, other: &AffExpr) -> AffExpr {
-        self.add(&other.scale(&-Rat::one()))
+        let mut out = self.clone();
+        out.add_scaled(&-Rat::one(), other);
+        out
     }
 
     /// `c · self`.
@@ -170,10 +180,28 @@ impl AffExpr {
         if factor.is_zero() {
             return;
         }
-        self.konst = &self.konst + &(&other.konst * factor);
+        self.konst += &(&other.konst * factor);
+        // Linear merge of the two sorted rows.
+        let mine = std::mem::take(&mut self.coeffs);
+        let mut out = Vec::with_capacity(mine.len() + other.coeffs.len());
+        let mut mine = mine.into_iter().peekable();
         for (v, c) in &other.coeffs {
-            self.add_var(*v, &(c * factor));
+            while let Some(entry) = mine.next_if(|(w, _)| w < v) {
+                out.push(entry);
+            }
+            let scaled = c * factor;
+            match mine.next_if(|(w, _)| w == v) {
+                Some((_, d)) => {
+                    let sum = &d + &scaled;
+                    if !sum.is_zero() {
+                        out.push((*v, sum));
+                    }
+                }
+                None => out.push((*v, scaled)),
+            }
         }
+        out.extend(mine);
+        self.coeffs = out;
     }
 
     /// Divides so the leading coefficient becomes one.

@@ -1,5 +1,6 @@
 //! Sign-and-magnitude arbitrary-precision integers.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -12,9 +13,13 @@ type Limbs = Vec<u32>;
 
 /// An arbitrary-precision signed integer.
 ///
-/// `Int` is a compact sign-and-magnitude bignum sufficient for exact linear
-/// algebra: addition, subtraction, multiplication, truncated division with
-/// remainder, gcd, comparison, parsing and printing.
+/// `Int` is a compact bignum sufficient for exact linear algebra:
+/// addition, subtraction, multiplication, truncated division with
+/// remainder, gcd, comparison, parsing and printing. A value that fits in
+/// an `i64` is stored inline as a machine word and computed with checked
+/// machine arithmetic; only values outside the `i64` range use heap limbs.
+/// The representation is canonical, so structural equality is value
+/// equality.
 ///
 /// All binary operators are implemented for both owned values and
 /// references, so expression-heavy code does not need explicit clones:
@@ -27,93 +32,165 @@ type Limbs = Vec<u32>;
 /// assert_eq!(&a * &b, Int::from(-21));
 /// assert_eq!((&a / &b, &a % &b), (Int::from(-2), Int::from(1)));
 /// ```
-#[derive(Clone, Default)]
-pub struct Int {
-    /// -1, 0, or 1; zero iff `mag` is empty.
-    sign: i8,
-    mag: Limbs,
+#[derive(Clone, PartialEq, Eq)]
+pub struct Int(Repr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// Every value in the `i64` range.
+    Small(i64),
+    /// Only values outside the `i64` range: `sign` is -1 or 1 and `mag`
+    /// has at least two limbs.
+    Big { sign: i8, mag: Limbs },
+}
+
+use Repr::{Big, Small};
+
+impl Default for Int {
+    /// The integer zero.
+    fn default() -> Int {
+        Int::zero()
+    }
+}
+
+/// The magnitude limbs of a `u64`, without leading zero limbs.
+fn limbs_of(m: u64) -> ([u32; 2], usize) {
+    let len = if m == 0 {
+        0
+    } else if m >> 32 == 0 {
+        1
+    } else {
+        2
+    };
+    ([m as u32, (m >> 32) as u32], len)
+}
+
+/// Binary gcd of two machine words.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
 }
 
 impl Int {
     /// The integer zero.
     pub fn zero() -> Int {
-        Int {
-            sign: 0,
-            mag: Vec::new(),
-        }
+        Int(Small(0))
     }
 
     /// The integer one.
     pub fn one() -> Int {
-        Int {
-            sign: 1,
-            mag: vec![1],
-        }
+        Int(Small(1))
     }
 
     /// Returns `true` if this integer is zero.
     pub fn is_zero(&self) -> bool {
-        self.sign == 0
+        self.0 == Small(0)
     }
 
     /// Returns `true` if this integer is one.
     pub fn is_one(&self) -> bool {
-        self.sign == 1 && self.mag == [1]
+        self.0 == Small(1)
     }
 
     /// Returns `true` if this integer is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.sign < 0
+        self.signum() < 0
     }
 
     /// Returns `true` if this integer is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.sign > 0
+        self.signum() > 0
     }
 
     /// The sign of the integer: -1, 0, or 1.
     pub fn signum(&self) -> i8 {
-        self.sign
+        match &self.0 {
+            Small(v) => v.signum() as i8,
+            Big { sign, .. } => *sign,
+        }
     }
 
     /// The absolute value.
     pub fn abs(&self) -> Int {
-        Int {
-            sign: self.sign.abs(),
-            mag: self.mag.clone(),
+        match &self.0 {
+            Small(v) => Int::from_u64(v.unsigned_abs()),
+            Big { mag, .. } => Int(Big {
+                sign: 1,
+                mag: mag.clone(),
+            }),
         }
     }
 
     /// Converts to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => Some(self.sign as i64 * self.mag[0] as i64),
-            2 => {
-                let m = (self.mag[1] as u64) << 32 | self.mag[0] as u64;
-                if self.sign > 0 && m <= i64::MAX as u64 {
-                    Some(m as i64)
-                } else if self.sign < 0 && m <= i64::MAX as u64 + 1 {
-                    Some((-(m as i128)) as i64)
-                } else {
-                    None
-                }
-            }
-            _ => None,
+        match self.0 {
+            Small(v) => Some(v),
+            Big { .. } => None,
         }
     }
 
     fn from_u64(v: u64) -> Int {
-        let mut mag = Vec::new();
-        if v as u32 != 0 || v >> 32 != 0 {
-            mag.push(v as u32);
+        match i64::try_from(v) {
+            Ok(v) => Int(Small(v)),
+            Err(_) => Int::from_i128(v.into()),
         }
-        if v >> 32 != 0 {
-            mag.push((v >> 32) as u32);
+    }
+
+    /// The exact result of a machine-word operation that may have
+    /// overflowed `i64`.
+    fn from_i128(v: i128) -> Int {
+        let m = v.unsigned_abs();
+        let mut mag: Limbs = (0..4).map(|i| (m >> (32 * i)) as u32).collect();
+        while mag.last() == Some(&0) {
+            mag.pop();
         }
-        Int {
-            sign: if v == 0 { 0 } else { 1 },
-            mag,
+        Int::from_sign_mag(v.signum() as i8, mag)
+    }
+
+    /// The canonical integer with sign `sign` and trimmed magnitude `mag`:
+    /// inline whenever the value fits in an `i64`.
+    fn from_sign_mag(sign: i8, mag: Limbs) -> Int {
+        if mag.len() <= 2 {
+            let m = mag.iter().rev().fold(0u64, |acc, &l| acc << 32 | l as u64);
+            if sign >= 0 {
+                if let Ok(v) = i64::try_from(m) {
+                    return Int(Small(v));
+                }
+            } else if m <= 1 << 63 {
+                return Int(Small((m as i64).wrapping_neg()));
+            }
+        }
+        if mag.is_empty() {
+            Int::zero()
+        } else {
+            Int(Big { sign, mag })
+        }
+    }
+
+    /// The sign and magnitude limbs, for the limb path.
+    fn sign_mag(&self) -> (i8, Cow<'_, [u32]>) {
+        match &self.0 {
+            Small(v) => {
+                let (limbs, len) = limbs_of(v.unsigned_abs());
+                (v.signum() as i8, Cow::Owned(limbs[..len].to_vec()))
+            }
+            Big { sign, mag } => (*sign, Cow::Borrowed(mag)),
         }
     }
 
@@ -121,12 +198,17 @@ impl Int {
     pub fn gcd(&self, other: &Int) -> Int {
         let mut a = self.abs();
         let mut b = other.abs();
-        while !b.is_zero() {
+        loop {
+            if let (Small(x), Small(y)) = (&a.0, &b.0) {
+                return Int::from_u64(gcd_u64(x.unsigned_abs(), y.unsigned_abs()));
+            }
+            if b.is_zero() {
+                return a;
+            }
             let r = &a % &b;
             a = b;
             b = r.abs();
         }
-        a
     }
 
     /// Checked exponentiation by a small exponent.
@@ -341,11 +423,17 @@ impl Int {
         out
     }
 
-    fn normalized(sign: i8, mag: Limbs) -> Int {
-        if mag.is_empty() {
-            Int::zero()
-        } else {
-            Int { sign, mag }
+    /// The sum of two sign-and-magnitude values (the limb path of `+`
+    /// and `-`). A zero operand has an empty magnitude, so it needs no
+    /// case of its own.
+    fn add_sign_mag(s1: i8, m1: &[u32], s2: i8, m2: &[u32]) -> Int {
+        if s1 == s2 {
+            return Int::from_sign_mag(s1, Int::add_mag(m1, m2));
+        }
+        match Int::cmp_mag(m1, m2) {
+            Ordering::Equal => Int::zero(),
+            Ordering::Greater => Int::from_sign_mag(s1, Int::sub_mag(m1, m2)),
+            Ordering::Less => Int::from_sign_mag(s2, Int::sub_mag(m2, m1)),
         }
     }
 
@@ -357,24 +445,23 @@ impl Int {
     /// Panics if `other` is zero.
     pub fn div_rem(&self, other: &Int) -> (Int, Int) {
         assert!(!other.is_zero(), "division by zero");
-        if self.is_zero() {
-            return (Int::zero(), Int::zero());
+        if let (Small(a), Small(b)) = (&self.0, &other.0) {
+            // `i64::MIN / -1` is the one machine-word quotient that overflows.
+            return match a.checked_div(*b) {
+                Some(q) => (Int(Small(q)), Int(Small(a % b))),
+                None => (-self, Int::zero()),
+            };
         }
-        let (q, r) = Int::divmod_mag(&self.mag, &other.mag);
-        (
-            Int::normalized(self.sign * other.sign, q),
-            Int::normalized(self.sign, r),
-        )
+        let (s1, m1) = self.sign_mag();
+        let (s2, m2) = other.sign_mag();
+        let (q, r) = Int::divmod_mag(&m1, &m2);
+        (Int::from_sign_mag(s1 * s2, q), Int::from_sign_mag(s1, r))
     }
 }
 
 impl From<i64> for Int {
     fn from(v: i64) -> Int {
-        let mut n = Int::from_u64(v.unsigned_abs());
-        if v < 0 {
-            n.sign = -n.sign;
-        }
-        n
+        Int(Small(v))
     }
 }
 
@@ -396,18 +483,21 @@ impl From<usize> for Int {
     }
 }
 
-impl PartialEq for Int {
-    fn eq(&self, other: &Int) -> bool {
-        self.sign == other.sign && self.mag == other.mag
-    }
-}
-
-impl Eq for Int {}
-
 impl Hash for Int {
+    /// Hashes the sign and then the magnitude limbs, whichever the
+    /// representation, so equal values hash alike.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.sign.hash(state);
-        self.mag.hash(state);
+        match &self.0 {
+            Small(v) => {
+                let (limbs, len) = limbs_of(v.unsigned_abs());
+                (v.signum() as i8).hash(state);
+                limbs[..len].hash(state);
+            }
+            Big { sign, mag } => {
+                sign.hash(state);
+                mag.hash(state);
+            }
+        }
     }
 }
 
@@ -419,75 +509,85 @@ impl PartialOrd for Int {
 
 impl Ord for Int {
     fn cmp(&self, other: &Int) -> Ordering {
-        match self.sign.cmp(&other.sign) {
-            Ordering::Equal => {}
-            ord => return ord,
-        }
-        let mag = Int::cmp_mag(&self.mag, &other.mag);
-        if self.sign < 0 {
-            mag.reverse()
-        } else {
-            mag
+        match (&self.0, &other.0) {
+            (Small(a), Small(b)) => a.cmp(b),
+            // A limb value lies outside the i64 range, so its sign decides.
+            (Small(_), Big { sign, .. }) => 0.cmp(sign),
+            (Big { sign, .. }, Small(_)) => sign.cmp(&0),
+            (Big { sign: s1, mag: m1 }, Big { sign: s2, mag: m2 }) => match s1.cmp(s2) {
+                Ordering::Equal if *s1 < 0 => Int::cmp_mag(m1, m2).reverse(),
+                Ordering::Equal => Int::cmp_mag(m1, m2),
+                ord => ord,
+            },
         }
     }
 }
 
 impl Neg for Int {
     type Output = Int;
-    fn neg(mut self) -> Int {
-        self.sign = -self.sign;
-        self
+    fn neg(self) -> Int {
+        match self.0 {
+            Small(v) => match v.checked_neg() {
+                Some(n) => Int(Small(n)),
+                None => Int::from_u64(v.unsigned_abs()),
+            },
+            Big { sign, mag } => Int::from_sign_mag(-sign, mag),
+        }
     }
 }
 
 impl Neg for &Int {
     type Output = Int;
     fn neg(self) -> Int {
-        -self.clone()
+        match &self.0 {
+            Small(_) => -self.clone(),
+            Big { sign, mag } => Int::from_sign_mag(-sign, mag.clone()),
+        }
     }
 }
 
 impl Add for &Int {
     type Output = Int;
     fn add(self, other: &Int) -> Int {
-        if self.is_zero() {
-            return other.clone();
+        if let (Small(a), Small(b)) = (&self.0, &other.0) {
+            return match a.checked_add(*b) {
+                Some(s) => Int(Small(s)),
+                None => Int::from_i128(*a as i128 + *b as i128),
+            };
         }
-        if other.is_zero() {
-            return self.clone();
-        }
-        if self.sign == other.sign {
-            Int {
-                sign: self.sign,
-                mag: Int::add_mag(&self.mag, &other.mag),
-            }
-        } else {
-            match Int::cmp_mag(&self.mag, &other.mag) {
-                Ordering::Equal => Int::zero(),
-                Ordering::Greater => Int {
-                    sign: self.sign,
-                    mag: Int::sub_mag(&self.mag, &other.mag),
-                },
-                Ordering::Less => Int {
-                    sign: other.sign,
-                    mag: Int::sub_mag(&other.mag, &self.mag),
-                },
-            }
-        }
+        let (s1, m1) = self.sign_mag();
+        let (s2, m2) = other.sign_mag();
+        Int::add_sign_mag(s1, &m1, s2, &m2)
     }
 }
 
 impl Sub for &Int {
     type Output = Int;
     fn sub(self, other: &Int) -> Int {
-        self + &(-other)
+        if let (Small(a), Small(b)) = (&self.0, &other.0) {
+            return match a.checked_sub(*b) {
+                Some(d) => Int(Small(d)),
+                None => Int::from_i128(*a as i128 - *b as i128),
+            };
+        }
+        let (s1, m1) = self.sign_mag();
+        let (s2, m2) = other.sign_mag();
+        Int::add_sign_mag(s1, &m1, -s2, &m2)
     }
 }
 
 impl Mul for &Int {
     type Output = Int;
     fn mul(self, other: &Int) -> Int {
-        Int::normalized(self.sign * other.sign, Int::mul_mag(&self.mag, &other.mag))
+        if let (Small(a), Small(b)) = (&self.0, &other.0) {
+            return match a.checked_mul(*b) {
+                Some(p) => Int(Small(p)),
+                None => Int::from_i128(*a as i128 * *b as i128),
+            };
+        }
+        let (s1, m1) = self.sign_mag();
+        let (s2, m2) = other.sign_mag();
+        Int::from_sign_mag(s1 * s2, Int::mul_mag(&m1, &m2))
     }
 }
 
@@ -542,14 +642,15 @@ impl AddAssign<&Int> for Int {
 
 impl fmt::Display for Int {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
-        if self.sign < 0 {
+        let (sign, mag) = match &self.0 {
+            Small(v) => return write!(f, "{v}"),
+            Big { sign, mag } => (sign, mag),
+        };
+        if *sign < 0 {
             f.write_str("-")?;
         }
         // Repeated division by 10^9, collecting 9-digit chunks.
-        let mut mag = self.mag.clone();
+        let mut mag = mag.clone();
         let mut chunks = Vec::new();
         while !mag.is_empty() {
             let (q, r) = Int::divmod_mag(&mag, &[1_000_000_000]);
@@ -656,7 +757,7 @@ mod tests {
         let b: Int = "18446744073709551629".parse().unwrap();
         let (q, r) = a.div_rem(&b);
         assert_eq!(&(&q * &b) + &r, a);
-        assert!(Int::cmp_mag(&r.mag, &b.mag) == Ordering::Less);
+        assert!(r.abs() < b.abs());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! overflow machine integers. This crate provides the two number types they
 //! need, implemented from scratch with no external dependencies:
 //!
-//! - [`Int`]: a sign-and-magnitude arbitrary-precision integer, and
+//! - [`Int`]: an arbitrary-precision integer, inline as a machine word in
+//!   the `i64` range and sign-and-magnitude limbs outside it, and
 //! - [`Rat`]: a normalized rational built on top of [`Int`].
 //!
 //! # Examples

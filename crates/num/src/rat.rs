@@ -44,8 +44,11 @@ impl Rat {
             return Rat::zero();
         }
         let g = num.gcd(&den);
-        let mut num = &num / &g;
-        let mut den = &den / &g;
+        let (mut num, mut den) = if g.is_one() {
+            (num, den)
+        } else {
+            (&num / &g, &den / &g)
+        };
         if den.is_negative() {
             num = -num;
             den = -den;
@@ -166,6 +169,9 @@ impl PartialOrd for Rat {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -181,13 +187,19 @@ impl Neg for Rat {
 impl Neg for &Rat {
     type Output = Rat;
     fn neg(self) -> Rat {
-        -self.clone()
+        Rat {
+            num: -&self.num,
+            den: self.den.clone(),
+        }
     }
 }
 
 impl Add for &Rat {
     type Output = Rat;
     fn add(self, other: &Rat) -> Rat {
+        if self.is_integer() && other.is_integer() {
+            return Rat::from(&self.num + &other.num);
+        }
         Rat::new(
             &(&self.num * &other.den) + &(&other.num * &self.den),
             &self.den * &other.den,
@@ -198,7 +210,13 @@ impl Add for &Rat {
 impl Sub for &Rat {
     type Output = Rat;
     fn sub(self, other: &Rat) -> Rat {
-        self + &(-other)
+        if self.is_integer() && other.is_integer() {
+            return Rat::from(&self.num - &other.num);
+        }
+        Rat::new(
+            &(&self.num * &other.den) - &(&other.num * &self.den),
+            &self.den * &other.den,
+        )
     }
 }
 
@@ -207,6 +225,9 @@ impl Mul for &Rat {
     fn mul(self, other: &Rat) -> Rat {
         if self.is_zero() || other.is_zero() {
             return Rat::zero();
+        }
+        if self.is_integer() && other.is_integer() {
+            return Rat::from(&self.num * &other.num);
         }
         Rat::new(&self.num * &other.num, &self.den * &other.den)
     }

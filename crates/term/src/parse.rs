@@ -17,6 +17,11 @@
 //! symbols, `even`/`odd`/`positive`/`negative` are predicates, names
 //! starting with an uppercase letter are uninterpreted functions (arity
 //! inferred at first use), and everything else is a variable.
+//!
+//! The parser is recursive descent, so nesting (parentheses, applications
+//! and unary minus) is capped at [`MAX_NESTING`] levels: deeper input is
+//! rejected with [`ParseErrorKind::TooDeep`] instead of overflowing the
+//! stack.
 
 use crate::atom::{Atom, Conj};
 use crate::sym::{FnSym, PredSym, TheoryTag};
@@ -27,11 +32,25 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;
 
+/// The deepest nesting of parentheses, function applications and unary
+/// minus that the term parser accepts.
+pub const MAX_NESTING: usize = 1_000;
+
+/// What kind of parse failure occurred.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is malformed.
+    Syntax,
+    /// The input nests deeper than [`MAX_NESTING`] levels.
+    TooDeep,
+}
+
 /// A parse failure, with a human-readable message and byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     msg: String,
     pos: usize,
+    kind: ParseErrorKind,
 }
 
 impl ParseError {
@@ -39,12 +58,18 @@ impl ParseError {
         ParseError {
             msg: msg.into(),
             pos,
+            kind: ParseErrorKind::Syntax,
         }
     }
 
     /// The byte offset at which the error occurred.
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// What kind of failure this is.
+    pub fn kind(&self) -> ParseErrorKind {
+        self.kind
     }
 }
 
@@ -168,6 +193,8 @@ struct Parser<'a> {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     vocab: &'a Vocab,
+    /// The number of `factor` calls in progress.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -176,6 +203,7 @@ impl<'a> Parser<'a> {
             toks: lex(input),
             pos: 0,
             vocab,
+            depth: 0,
         }
     }
 
@@ -298,7 +326,23 @@ impl<'a> Parser<'a> {
         Ok(acc)
     }
 
+    /// Every nesting level passes through here, so this is where the depth
+    /// is counted.
     fn factor(&mut self) -> Result<Term, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError {
+                msg: format!("nesting deeper than {MAX_NESTING} levels"),
+                pos: self.here(),
+                kind: ParseErrorKind::TooDeep,
+            });
+        }
+        self.depth += 1;
+        let out = self.factor_inner();
+        self.depth -= 1;
+        out
+    }
+
+    fn factor_inner(&mut self) -> Result<Term, ParseError> {
         let pos = self.here();
         match self.bump() {
             Tok::Num(n) => {
@@ -500,6 +544,31 @@ mod tests {
         assert!(v.parse_term("F(x").is_err());
         assert!(v.parse_term("1/0").is_err());
         assert!(v.parse_conj("x = y @ z").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let v = Vocab::standard();
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert_eq!(v.parse_term(&nested(500)).unwrap().to_string(), "a");
+        // The deepest accepted input fits a default 2 MiB thread stack.
+        assert!(v.parse_term(&nested(MAX_NESTING - 1)).is_ok());
+        let err = v.parse_term(&nested(100_000)).unwrap_err();
+        assert_eq!(err.kind(), ParseErrorKind::TooDeep);
+        let apps = format!("{}a{}", "F(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        assert_eq!(
+            v.parse_term(&apps).unwrap_err().kind(),
+            ParseErrorKind::TooDeep
+        );
+        let negs = format!("{}a", "-".repeat(100_000));
+        assert_eq!(
+            v.parse_term(&negs).unwrap_err().kind(),
+            ParseErrorKind::TooDeep
+        );
+        assert_eq!(
+            v.parse_term("x *").unwrap_err().kind(),
+            ParseErrorKind::Syntax
+        );
     }
 
     #[test]
