@@ -4,9 +4,10 @@
 #   1. formatting            (cargo fmt --check)
 #   2. lint, library code    (clippy, warnings + unwrap/panic-free libs)
 #   3. lint, all targets     (clippy, warnings; tests/bins may unwrap)
-#   4. release build
-#   5. test suite
-#   6. smokes: driver_eval, paper_eval, perfbench probes pinned to
+#   4. rustdoc               (warnings, e.g. broken intra-doc links)
+#   5. release build
+#   6. test suite
+#   7. smokes: driver_eval, paper_eval, perfbench probes pinned to
 #      tests/data/perfbench_probes.txt
 #
 # Everything runs with --offline: the workspace has no external
@@ -49,6 +50,9 @@ cargo clippy --workspace --lib --offline -- -D warnings -D clippy::unwrap_used
 
 echo "== clippy (all targets: -D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== rustdoc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== build (release) =="
 cargo build --release --offline

@@ -425,7 +425,7 @@ fn budget_policy_drill(threads: usize, seed: u64) {
 /// and a **chaos** leg whose base domain injects panics and defective
 /// Alternate operators — then checks:
 ///
-/// - the drained tables cover at least four [`LossKind`]s;
+/// - the drained tables cover at least four [`LossKind`](cai_obs::LossKind)s;
 /// - differential attribution pins the flat-vs-adaptive assertion delta
 ///   on the starved widening site (`analyzer/while` inside `big`);
 /// - the exported JSON is bit-identical at 1, 2 and 4 threads;

@@ -178,12 +178,12 @@ pub struct DegradationReport {
     pub exhausted: bool,
     /// Fuel ticks consumed so far.
     pub fuel_spent: u64,
-    /// The recorded events, oldest first (at most [`MAX_EVENTS`] kept).
+    /// The recorded events, oldest first (at most `MAX_EVENTS` kept).
     pub events: Vec<Degradation>,
     /// Events beyond the storage cap (recorded only as a count).
     pub dropped_events: usize,
     /// Supervision incidents — caught panics, watchdog stalls, cache
-    /// corruption, quarantines — oldest first (at most [`MAX_INCIDENTS`]
+    /// corruption, quarantines — oldest first (at most `MAX_INCIDENTS`
     /// kept).
     pub incidents: Vec<Incident>,
     /// Incidents beyond the storage cap (recorded only as a count).
@@ -349,7 +349,8 @@ impl BudgetInner {
 }
 
 /// A shared fuel counter and optional wall-clock deadline governing the
-/// potentially-unbounded loops of the engine. See the [module docs](self).
+/// potentially-unbounded loops of the engine. The design notes are in the
+/// source of the private `budget` module.
 #[derive(Clone, Debug)]
 pub struct Budget {
     inner: Arc<BudgetInner>,

@@ -61,7 +61,7 @@ impl SizeMeasures {
 
 /// How fuel is apportioned across procedures and loops, and whether the
 /// engine runs a bounded narrowing pass after a widened loop fixpoint.
-/// See the [module docs](self).
+/// The design notes are in the source of the private `policy` module.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BudgetPolicy {
     /// The pre-policy behaviour, bit for bit: per-job slices are equal

@@ -128,8 +128,8 @@ pub struct CacheEntry {
 
 impl CacheEntry {
     /// Seals a new entry, digesting every reusable field into the
-    /// integrity checksum that [`SummaryCache::reject_corrupt`] verifies
-    /// before any reuse decision.
+    /// integrity checksum that the [`SummaryCache`] verifies before any
+    /// reuse decision.
     pub fn new(fingerprint: u64, report: ProcReport, contexts: Vec<Summary>) -> CacheEntry {
         let checksum = entry_checksum(fingerprint, &report, &contexts);
         CacheEntry {
@@ -384,12 +384,14 @@ struct SolveCfg {
 }
 
 impl SolveCfg {
-    /// A digest of every setting that can change a non-degraded result;
-    /// joins each procedure's cache key (see [`config_fingerprint`]).
-    /// The supervisor settings are left out: they decide only retries
-    /// and quarantines, whose results are never stored.
-    fn fingerprint(&self) -> u64 {
+    /// A digest of every setting that can change a non-degraded result,
+    /// and of the domain type `D`; joins each procedure's cache key (see
+    /// [`config_fingerprint`]). The supervisor settings are left out: they
+    /// decide only retries and quarantines, whose results are never
+    /// stored.
+    fn fingerprint<D>(&self) -> u64 {
         let mut h = Fnv64::new();
+        h.write_str(std::any::type_name::<D>());
         for n in [
             self.widen_delay,
             self.max_iterations,
@@ -647,7 +649,7 @@ where
         // external callees' fingerprints already computed. The driver's
         // settings join each member fingerprint, so changing any setting
         // that can change a result invalidates the whole cache.
-        let settings = cfg.fingerprint();
+        let settings = cfg.fingerprint::<D>();
         let mut proc_fps: BTreeMap<String, u64> = BTreeMap::new();
         for members in &graph.sccs {
             let procs: Vec<&Procedure> = members.iter().map(|&i| &module.procs[i]).collect();

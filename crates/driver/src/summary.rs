@@ -426,8 +426,8 @@ pub fn member_fingerprint(scc_fp: u64, name: &str) -> u64 {
 /// result (the report *and* its context specializations) is reused only
 /// under the settings it was computed with. `settings` is a digest of
 /// every driver setting that can change a non-degraded result: the
-/// widening delay, the iteration cap, the budget policy, the summary
-/// round cap, the summary widening delay and the context cap.
+/// domain type, the widening delay, the iteration cap, the budget policy,
+/// the summary round cap, the summary widening delay and the context cap.
 pub fn config_fingerprint(member_fp: u64, settings: u64) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(member_fp);

@@ -372,6 +372,17 @@ fn every_result_setting_joins_the_summary_cache_key() {
         let again = driver.analyze_with_cache(&m, &mut cache);
         assert_eq!((again.reused, again.recomputed), (2, 0), "setting #{k}");
     }
+
+    // The domain is a setting too: UF alone cannot prove `r = n`, so a
+    // UF run must not reuse the affine run's verdicts.
+    use cai_uf::UfDomain;
+    let uf = Driver::new(|_: &Budget| UfDomain::new());
+    assert_eq!(verdicts(&uf.analyze(&m), "main"), [false]);
+    let mut cache = SummaryCache::new();
+    affine().analyze_with_cache(&m, &mut cache);
+    let a = uf.analyze_with_cache(&m, &mut cache);
+    assert_eq!((a.reused, a.recomputed), (0, 2), "domain");
+    assert_eq!(verdicts(&a, "main"), [false], "domain");
 }
 
 #[test]

@@ -315,8 +315,10 @@ fn quarantined_results_are_never_persisted() {
             "⊤ pins must not be cached"
         );
         // A fault-free second run over the same cache recomputes exactly
-        // the quarantined procedures and yields clean summaries.
-        let recovered = Driver::new(|_| product()).analyze_with_cache(&m, &mut cache);
+        // the quarantined procedures and yields clean summaries. It keeps
+        // the injector's domain type, with every fault off: the domain
+        // type is part of the cache key.
+        let recovered = chaos_driver(seed, ChaosConfig::quiet()).analyze_with_cache(&m, &mut cache);
         assert_eq!(recovered.recomputed, faulty.quarantined_count());
         assert_eq!(recovered.quarantined_count(), 0);
         let clean = Driver::new(|_| product()).analyze(&m);

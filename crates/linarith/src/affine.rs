@@ -2,9 +2,10 @@
 //! linear arithmetic *with only equality* (paper §2; Karr 1976 [16],
 //! Müller-Olm & Seidl [18]).
 
-use crate::expr::AffExpr;
+use crate::expr::{extend_rref, AffExpr, Columns};
 use cai_core::{AbstractDomain, Partition, TheoryProps};
 use cai_term::{Atom, Conj, Sig, Term, TheoryTag, Var, VarSet};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -60,63 +61,40 @@ impl AffineElem {
     /// Reduces an expression modulo the row space: the canonical
     /// representative of `e`'s residue class over the element.
     pub fn reduce(&self, e: &AffExpr) -> AffExpr {
+        let rows = self.rows();
         let mut out = e.clone();
-        for row in self.rows() {
-            // Rows are non-constant by construction; skip rather than panic
-            // if the invariant is ever violated.
-            let Some(p) = row.leading_var() else { continue };
-            let c = out.coeff(p);
-            if !c.is_zero() {
-                out.add_scaled(&-c, row);
-            }
-        }
+        out.eliminate_each(
+            |v| {
+                rows.binary_search_by(|r| r.leading_var().cmp(&Some(v)))
+                    .ok()
+            },
+            |out, f, j| out.add_scaled(f, &rows[j]),
+        );
         out
     }
 
     /// Conjoins the equality `e = 0`, maintaining the RREF invariant.
     pub fn insert(&mut self, e: &AffExpr) {
+        self.extend_rows([e.clone()]);
+    }
+
+    /// Conjoins the equalities `eᵢ = 0` in one batched elimination: one
+    /// forward pass per row, then one back pass that clears only the new
+    /// pivots. The RREF of a row space is unique, so the result equals
+    /// inserting the rows one at a time.
+    pub fn extend_rows(&mut self, exprs: impl IntoIterator<Item = AffExpr>) {
         let Some(rows) = self.rows.as_mut() else {
             return; // bottom stays bottom
         };
-        let mut e = e.clone();
-        // Reduce by existing rows.
-        for row in rows.iter() {
-            let Some(p) = row.leading_var() else { continue };
-            let c = e.coeff(p);
-            if !c.is_zero() {
-                e.add_scaled(&-c, row);
-            }
+        if !extend_rref(rows, exprs, Columns::BY_NAME) {
+            self.rows = None; // a contradiction such as 0 = 1
         }
-        if e.is_zero() {
-            return;
-        }
-        if e.is_constant() {
-            self.rows = None; // contradiction such as 0 = 1
-            return;
-        }
-        let e = e.normalize_leading();
-        let Some(pivot) = e.leading_var() else { return };
-        // Eliminate the new pivot from existing rows.
-        for row in rows.iter_mut() {
-            let c = row.coeff(pivot);
-            if !c.is_zero() {
-                row.add_scaled(&-c, &e);
-            }
-        }
-        // The pivot was just eliminated from every row, so the search
-        // normally misses; inserting at a hit position is equally correct.
-        let idx = match rows.binary_search_by(|r| r.leading_var().cmp(&Some(pivot))) {
-            Ok(i) | Err(i) => i,
-        };
-        rows.insert(idx, e);
     }
 
     /// Builds an element from arbitrary equality expressions.
     pub fn from_rows(exprs: impl IntoIterator<Item = AffExpr>) -> AffineElem {
         let mut out = AffineElem::top();
-        for e in exprs {
-            out.insert(&e);
-        }
+        out.extend_rows(exprs);
         out
     }
 
@@ -139,63 +117,75 @@ impl AffineElem {
         };
         // Echelon triples (pivot, left, right), sorted by the pivot of the
         // left half with the constant column (`None`) last, and scaled so
-        // the pivot coefficient is one.
+        // the pivot coefficient is one. A left half has no entry before
+        // its pivot, so walking the entries of `b` in order clears every
+        // variable pivot; the constant column comes after the walk.
         let order = |p: &Option<Var>| (p.is_none(), *p);
-        let at = |e: &AffExpr, p: Option<Var>| match p {
-            Some(v) => e.coeff(v),
-            None => e.constant_part().clone(),
-        };
         let mut echelon: Vec<(Option<Var>, AffExpr, AffExpr)> = mine
             .iter()
             .map(|a| (a.leading_var(), a.clone(), a.clone()))
             .collect();
-        let mut out = AffineElem::top();
+        let mut meets = Vec::new();
         for b in theirs {
             let (mut left, mut right) = (b.clone(), AffExpr::zero());
-            for (p, l, r) in &echelon {
-                let c = at(&left, *p);
-                if !c.is_zero() {
-                    let f = -c;
-                    left.add_scaled(&f, l);
-                    right.add_scaled(&f, r);
-                }
+            left.eliminate_each(
+                |v| {
+                    let v = Some(v);
+                    echelon
+                        .binary_search_by(|(q, ..)| order(q).cmp(&order(&v)))
+                        .ok()
+                },
+                |left, f, j| {
+                    left.add_scaled(f, &echelon[j].1);
+                    right.add_scaled(f, &echelon[j].2);
+                },
+            );
+            if let Some((None, l, r)) = echelon.last() {
+                let f = -left.constant_part();
+                left.add_scaled(&f, l);
+                right.add_scaled(&f, r);
             }
             if left.is_zero() {
-                out.insert(&right);
+                meets.push(right);
                 continue;
             }
             let p = left.leading_var();
-            let inv = at(&left, p).recip();
+            let inv = match p {
+                Some(v) => left.coeff(v),
+                None => left.constant_part().clone(),
+            }
+            .recip();
             let idx = echelon.partition_point(|(q, ..)| order(q) < order(&p));
             echelon.insert(idx, (p, left.scale(&inv), right.scale(&inv)));
         }
-        out
+        AffineElem::from_rows(meets)
     }
 
     /// Projects out the variables of `vs` (existential quantification).
+    ///
+    /// Each `v` is eliminated in place with the last row that mentions it:
+    /// `r -= (c_r / c_v) · row` for every earlier row `r`, then that row is
+    /// dropped. The rows it changes have smaller pivots, which it does not
+    /// mention, and it carries no other pivot, so the rows stay in RREF.
     pub fn project(&self, vs: &VarSet) -> AffineElem {
-        if self.is_bottom() {
+        let Some(rows) = &self.rows else {
             return AffineElem::bottom();
-        }
-        let mut rows: Vec<AffExpr> = self.rows().to_vec();
+        };
+        let mut rows = rows.clone();
         for &v in vs {
-            // Find a row mentioning v; use it to eliminate v elsewhere.
-            let Some(i) = rows.iter().position(|r| !r.coeff(v).is_zero()) else {
+            let Some(i) = rows.iter().rposition(|r| !r.coeff(v).is_zero()) else {
                 continue;
             };
             let row = rows.remove(i);
-            let def = {
-                // v = -(row - c·v)/c
-                let c = row.coeff(v);
-                let mut rest = row.clone();
-                rest.add_var(v, &-c.clone());
-                rest.scale(&-c.recip())
-            };
-            for r in rows.iter_mut() {
-                *r = r.substitute(v, &def);
+            let cv = row.coeff(v);
+            for r in &mut rows[..i] {
+                let c = r.coeff(v);
+                if !c.is_zero() {
+                    r.add_scaled(&-(&c / &cv), &row);
+                }
             }
         }
-        AffineElem::from_rows(rows)
+        AffineElem { rows: Some(rows) }
     }
 
     /// Decides `self ⇒ e = 0`.
@@ -318,6 +308,26 @@ impl AbstractDomain for AffineEq {
         }
     }
 
+    /// One batched elimination for the whole conjunction; the same result
+    /// as folding [`meet_atom`](AbstractDomain::meet_atom).
+    fn meet_all(&self, e: &AffineElem, atoms: &[Atom]) -> AffineElem {
+        let mut eqs = Vec::new();
+        for atom in atoms {
+            match (atom, atom_difference(atom)) {
+                (Atom::Eq(..), Some(diff)) => eqs.push(diff),
+                (Atom::Le(..), Some(diff))
+                    if diff.is_constant() && diff.constant_part().is_positive() =>
+                {
+                    return AffineElem::bottom();
+                }
+                _ => {}
+            }
+        }
+        let mut out = e.clone();
+        out.extend_rows(eqs);
+        out
+    }
+
     fn implies_atom(&self, e: &AffineElem, atom: &Atom) -> bool {
         if e.is_bottom() {
             return true;
@@ -344,16 +354,25 @@ impl AbstractDomain for AffineEq {
         if e.is_bottom() {
             return p;
         }
-        // Two variables are equal iff their canonical residues coincide.
-        let mut by_canon: BTreeMap<AffExpr, Var> = BTreeMap::new();
-        for v in e.vars() {
-            let canon = e.reduce(&AffExpr::var(v));
-            match by_canon.get(&canon) {
-                Some(&first) => {
-                    p.union(first, v);
+        // Two variables are equal iff their canonical residues coincide. A
+        // free variable is its own residue; a pivot's is the negation of
+        // the rest of its row, which mentions only free variables. So a
+        // pivot equals a free variable `w` iff its residue is `w`, and
+        // otherwise only pivots can share a residue.
+        let mut by_residue: BTreeMap<AffExpr, Var> = BTreeMap::new();
+        for row in e.rows() {
+            let Some(v) = row.leading_var() else { continue };
+            let residue = row.pivot_residue(v);
+            if let Some(w) = residue.as_var() {
+                p.union(w, v);
+                continue;
+            }
+            match by_residue.entry(residue) {
+                Entry::Occupied(first) => {
+                    p.union(*first.get(), v);
                 }
-                None => {
-                    by_canon.insert(canon, v);
+                Entry::Vacant(slot) => {
+                    slot.insert(v);
                 }
             }
         }

@@ -175,6 +175,15 @@ impl AffExpr {
         }
     }
 
+    /// `self *= c` for a nonzero `c`.
+    fn scale_in_place(&mut self, c: &Rat) {
+        debug_assert!(!c.is_zero());
+        for (_, k) in &mut self.coeffs {
+            *k = &*k * c;
+        }
+        self.konst = &self.konst * c;
+    }
+
     /// Adds `factor · other` in place (the Gaussian elimination step).
     pub fn add_scaled(&mut self, factor: &Rat, other: &AffExpr) {
         if factor.is_zero() {
@@ -204,17 +213,6 @@ impl AffExpr {
         self.coeffs = out;
     }
 
-    /// Divides so the leading coefficient becomes one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression is constant.
-    pub fn normalize_leading(&self) -> AffExpr {
-        let lead = self.leading_var().expect("normalize_leading on constant");
-        let c = self.coeff(lead);
-        self.scale(&c.recip())
-    }
-
     /// Scales positively so coefficients are canonical for deduplication:
     /// the leading coefficient becomes ±1 with its original sign.
     pub fn normalize_positive(&self) -> AffExpr {
@@ -229,11 +227,10 @@ impl AffExpr {
 
     /// Renders the expression as a [`Term`].
     pub fn to_term(&self) -> Term {
-        let mut e = LinExpr::constant(self.konst.clone());
-        for (v, c) in &self.coeffs {
-            e = e.add_atom(Term::var(*v), c);
-        }
-        Term::lin(e)
+        Term::lin(LinExpr::from_vars(
+            self.konst.clone(),
+            self.coeffs.iter().cloned(),
+        ))
     }
 
     /// Solves `self = 0` for `v`, returning the term `t` with `v = t`.
@@ -250,17 +247,182 @@ impl AffExpr {
         rest.scale(&-c.recip()).to_term()
     }
 
-    /// Substitutes `v := e` (where `e` is the affine definition of `v`).
-    pub fn substitute(&self, v: Var, e: &AffExpr) -> AffExpr {
-        let c = self.coeff(v);
-        if c.is_zero() {
-            return self.clone();
+    /// Walks the entries in variable order and, at each variable `v` for
+    /// which `find` names a row, calls `eliminate(self, -c_v, row)`, which
+    /// must cancel the entry at `v`. Entries the elimination adds after
+    /// `v` are walked too.
+    pub(crate) fn eliminate_each(
+        &mut self,
+        mut find: impl FnMut(Var) -> Option<usize>,
+        mut eliminate: impl FnMut(&mut AffExpr, &Rat, usize),
+    ) {
+        let mut i = 0;
+        while let Some((v, c)) = self.coeffs.get(i) {
+            let v = *v;
+            match find(v) {
+                Some(j) => {
+                    let f = -c;
+                    eliminate(self, &f, j);
+                    debug_assert!(self.coeff(v).is_zero(), "{v} was not eliminated");
+                    i = self.coeffs.partition_point(|(w, _)| *w < v);
+                }
+                None => i += 1,
+            }
         }
-        let mut out = self.clone();
-        out.add_var(v, &-c.clone());
-        out.add_scaled(&c, e);
-        out
     }
+
+    /// The canonical residue of a pivot `p` in an echelon row
+    /// `self = p + rest` whose pivot coefficient is one: `-rest`.
+    pub(crate) fn pivot_residue(&self, p: Var) -> AffExpr {
+        AffExpr {
+            coeffs: self
+                .coeffs
+                .iter()
+                .filter(|(v, _)| *v != p)
+                .map(|(v, c)| (*v, -c))
+                .collect(),
+            konst: -&self.konst,
+        }
+    }
+
+    /// The variable `v` if the expression is exactly `1·v`.
+    pub(crate) fn as_var(&self) -> Option<Var> {
+        match self.coeffs.as_slice() {
+            [(v, c)] if c.is_one() && self.konst.is_zero() => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+/// A column order for Gaussian elimination: the variables of the `early`
+/// set, by name, then all other variables, by name; the constant column
+/// comes last. Without a set it is the plain name order.
+#[derive(Clone, Copy)]
+pub(crate) struct Columns<'a> {
+    early: Option<&'a VarSet>,
+}
+
+impl<'a> Columns<'a> {
+    /// Variables by name.
+    pub(crate) const BY_NAME: Columns<'static> = Columns { early: None };
+
+    /// The variables of `early` first.
+    pub(crate) fn early_first(early: &'a VarSet) -> Columns<'a> {
+        Columns { early: Some(early) }
+    }
+
+    fn is_late(self, v: Var) -> bool {
+        self.early.is_some_and(|s| !s.contains(&v))
+    }
+
+    fn key(self, v: Var) -> Key {
+        (self.is_late(v), v)
+    }
+
+    /// The leading variable of `e` in this order.
+    fn pivot(self, e: &AffExpr) -> Option<Var> {
+        e.coeffs
+            .iter()
+            .find(|(v, _)| !self.is_late(*v))
+            .or(e.coeffs.first())
+            .map(|(v, _)| *v)
+    }
+}
+
+/// A column's position in a [`Columns`] order.
+type Key = (bool, Var);
+
+/// Extends `rows`, a reduced row-echelon form under `cols` (each row's
+/// pivot has coefficient one and occurs in no other row; rows are sorted
+/// by pivot), by the equations `new`, keeping it one.
+///
+/// Each new row makes one forward pass over its entries in column order:
+/// every entry at a pivot (a binary search of the pivots) is eliminated
+/// with that pivot's row, which adds only entries later in the order. What
+/// remains mentions no pivot; unless it is zero (redundant) it joins the
+/// rows, scaled so its leading variable becomes a pivot with coefficient
+/// one. A row that reduces to a nonzero constant is left out, and the
+/// result says the equations are inconsistent. The back pass then clears
+/// the new pivots from the other rows, from the last pivot to the first,
+/// so each row subtracted is already reduced.
+///
+/// The reduced row-echelon form of a row space is unique for a column
+/// order, so the result does not depend on how the rows are batched.
+/// Returns `false` if some new row reduced to a nonzero constant.
+pub(crate) fn extend_rref(
+    rows: &mut Vec<AffExpr>,
+    new: impl IntoIterator<Item = AffExpr>,
+    cols: Columns<'_>,
+) -> bool {
+    // The pivots' keys, in row order.
+    let mut pivots: Vec<Key> = rows
+        .iter()
+        .filter_map(|r| cols.pivot(r))
+        .map(|p| cols.key(p))
+        .collect();
+    debug_assert_eq!(pivots.len(), rows.len(), "constant row in an RREF");
+    let mut added: Vec<Key> = Vec::new();
+    let mut consistent = true;
+    let passes: &[bool] = if cols.early.is_some() {
+        &[false, true]
+    } else {
+        &[false]
+    };
+    for mut e in new {
+        // An early pivot's row may add late entries anywhere, but a late
+        // pivot's row mentions no early variable: one walk over the early
+        // entries, then one over the late ones, clears every pivot.
+        for &late in passes {
+            e.eliminate_each(
+                |v| {
+                    let k = cols.key(v);
+                    if k.0 != late {
+                        return None;
+                    }
+                    pivots.binary_search(&k).ok()
+                },
+                |e, f, j| e.add_scaled(f, &rows[j]),
+            );
+        }
+        let Some(p) = cols.pivot(&e) else {
+            consistent &= e.konst.is_zero();
+            continue;
+        };
+        let inv = e.coeff(p).recip();
+        e.scale_in_place(&inv);
+        let k = cols.key(p);
+        let (Err(j) | Ok(j)) = pivots.binary_search(&k);
+        pivots.insert(j, k);
+        rows.insert(j, e);
+        let (Err(j) | Ok(j)) = added.binary_search(&k);
+        added.insert(j, k);
+    }
+    if added.is_empty() {
+        return consistent;
+    }
+    for j in (0..rows.len()).rev() {
+        let later = &added[added.partition_point(|q| *q <= pivots[j])..];
+        let (head, tail) = rows.split_at_mut(j + 1);
+        let (row, below) = (&mut head[j], &pivots[j + 1..]);
+        // Rows below are reduced, so each subtraction adds no pivot and
+        // leaves the row's other pivot entries as they were. Look the new
+        // pivots up in the row, or the row's entries up in the pivots,
+        // whichever list is shorter.
+        if later.len() <= row.num_vars() {
+            for q in later {
+                let c = row.coeff(q.1);
+                if let (false, Ok(t)) = (c.is_zero(), below.binary_search(q)) {
+                    row.add_scaled(&-c, &tail[t]);
+                }
+            }
+        } else {
+            row.eliminate_each(
+                |v| below.binary_search(&cols.key(v)).ok(),
+                |row, f, t| row.add_scaled(f, &tail[t]),
+            );
+        }
+    }
+    consistent
 }
 
 /// Computes, for as many `targets` as possible, definitions `y = t` implied
@@ -270,38 +432,22 @@ impl AffExpr {
 /// One Gaussian elimination with avoid-preferred pivoting serves every
 /// target: a target has an avoid-free definition iff it becomes a pivot
 /// whose row remainder is avoid-free, because the remainder ranges over
-/// free columns and free columns admit no implied equalities.
+/// free columns and free columns admit no implied equalities. The
+/// elimination is the one behind [`AffineElem`](crate::AffineElem), under
+/// the column order "`avoid` first, then by name".
 pub fn preferential_definitions(
     rows: &[AffExpr],
     targets: &VarSet,
     avoid: &VarSet,
 ) -> BTreeMap<Var, Term> {
-    let prefer = |v: &Var| (usize::from(!avoid.contains(v)), *v);
-    let mut echelon: Vec<(Var, AffExpr)> = Vec::new(); // (pivot, row)
-    for row in rows {
-        let mut r = row.clone();
-        for (p, er) in &echelon {
-            let c = r.coeff(*p);
-            if !c.is_zero() {
-                r.add_scaled(&-c, er);
-            }
-        }
-        let Some(pivot) = r.vars().into_iter().min_by_key(prefer) else {
-            continue; // redundant (or inconsistent) row
-        };
-        let r = r.scale(&r.coeff(pivot).recip());
-        for (_, er) in echelon.iter_mut() {
-            let c = er.coeff(pivot);
-            if !c.is_zero() {
-                er.add_scaled(&-c, &r);
-            }
-        }
-        echelon.push((pivot, r));
-    }
+    let cols = Columns::early_first(avoid);
+    let mut echelon = Vec::new();
+    extend_rref(&mut echelon, rows.iter().cloned(), cols);
     let mut out = BTreeMap::new();
-    for (p, r) in &echelon {
-        if targets.contains(p) && r.vars().iter().all(|v| v == p || !avoid.contains(v)) {
-            out.insert(*p, r.solve_for(*p));
+    for r in &echelon {
+        let Some(p) = cols.pivot(r) else { continue };
+        if targets.contains(&p) && r.coeffs.iter().all(|(v, _)| *v == p || !avoid.contains(v)) {
+            out.insert(p, r.solve_for(p));
         }
     }
     out
@@ -350,13 +496,6 @@ mod tests {
         let e = expr("2*x - y + 4");
         let t = e.solve_for(Var::named("x"));
         assert_eq!(t.to_string(), "1/2*y - 2");
-    }
-
-    #[test]
-    fn substitute_definition() {
-        // x + y, with x := z - 1  =>  z - 1 + y
-        let e = expr("x + y").substitute(Var::named("x"), &expr("z - 1"));
-        assert_eq!(e, expr("y + z - 1"));
     }
 
     #[test]

@@ -176,9 +176,7 @@ impl PolyElem {
                     }),
                 };
             }
-            for p in promoted {
-                eqs.insert(&p);
-            }
+            eqs.extend_rows(promoted);
             pending = kept;
         }
     }
@@ -446,26 +444,12 @@ impl AbstractDomain for Polyhedra {
     }
 
     fn var_equalities(&self, e: &PolyElem) -> Partition {
-        let mut p = Partition::new();
         let Some(s) = &e.state else {
-            return p;
+            return Partition::new();
         };
         // Equalities among variables are consequences of the affine hull,
         // which `assemble` keeps explicit in the equality part.
-        let mut by_canon: BTreeMap<String, Var> = BTreeMap::new();
-        for v in s.eqs.vars() {
-            let canon = s.eqs.reduce(&AffExpr::var(v));
-            let key = canon.to_term().to_string();
-            match by_canon.get(&key) {
-                Some(&first) => {
-                    p.union(first, v);
-                }
-                None => {
-                    by_canon.insert(key, v);
-                }
-            }
-        }
-        p
+        crate::AffineEq::new().var_equalities(&s.eqs)
     }
 
     fn alternate(&self, e: &PolyElem, y: Var, avoid: &VarSet) -> Option<Term> {

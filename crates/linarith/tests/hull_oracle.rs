@@ -8,10 +8,13 @@
 //! least-variable pivots is unique for a subspace, so `AffineElem::hull`
 //! must return exactly the oracle's element, not merely an equivalent one.
 
+mod common;
+
 use cai_linarith::{AffExpr, AffineElem};
 use cai_num::{Rat, SplitMix64};
 use cai_term::parse::Vocab;
 use cai_term::{Var, VarSet};
+use common::{coeff, row};
 use std::collections::BTreeMap;
 
 /// A dense matrix of rationals (row major).
@@ -186,32 +189,7 @@ fn paper_figure3_and_rational_rows() {
     );
 }
 
-const NVARS: usize = 5;
 const CASES: usize = 400;
-
-fn var(i: usize) -> Var {
-    Var::named(&format!("h{i}"))
-}
-
-/// A small nonzero coefficient, sometimes fractional.
-fn coeff(g: &mut SplitMix64) -> Rat {
-    let num = match g.range_i64(-3, 3) {
-        0 => 3,
-        n => n,
-    };
-    let den = [1, 1, 1, 2, 3][g.below(5) as usize];
-    Rat::new(num.into(), den.into())
-}
-
-/// A random row over one to three variables with a random constant.
-fn row(g: &mut SplitMix64) -> AffExpr {
-    let mut e = AffExpr::constant(Rat::from(g.range_i64(-2, 3)));
-    for _ in 0..1 + g.below(3) {
-        let c = coeff(g);
-        e.add_var(var(g.below(NVARS as u64) as usize), &c);
-    }
-    e
-}
 
 /// A pair of elements that share some rows, so their hulls are neither
 /// always top nor always one side; some shared rows reappear on the

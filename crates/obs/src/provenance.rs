@@ -5,7 +5,7 @@
 //! distinct sites — widenings, budget degradations, context-cap
 //! overflows, quarantines, skipped cache stores, defective Alternate
 //! operators. Counters say *how often* those sites fire; this layer says
-//! *where*: every precision-losing operation records a [`LossEvent`]
+//! *where*: every precision-losing operation records a loss event
 //! carrying its scope (procedure / loop), site string, domain path,
 //! [`LossKind`], logical round number, and fuel spent, and the events
 //! aggregate into a per-scope, per-site [`BlameTable`] with top-K

@@ -1,6 +1,7 @@
 //! Normalized linear expressions over non-arithmetic atoms.
 
 use crate::term::{Term, TermKind};
+use crate::var::Var;
 use cai_num::Rat;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -57,6 +58,23 @@ impl LinExpr {
                 }
             }
         }
+    }
+
+    /// The expression `c₀ + Σ cᵥ·v` over distinct variables `v` with
+    /// nonzero coefficients `cᵥ`, collected in one pass (a fold of
+    /// [`add_atom`](LinExpr::add_atom) copies the map once per variable).
+    pub fn from_vars(constant: Rat, terms: impl IntoIterator<Item = (Var, Rat)>) -> LinExpr {
+        let mut n = 0;
+        let terms: BTreeMap<Term, Rat> = terms
+            .into_iter()
+            .inspect(|(_, c)| {
+                debug_assert!(!c.is_zero(), "zero coefficient");
+                n += 1;
+            })
+            .map(|(v, c)| (Term::var(v), c))
+            .collect();
+        debug_assert_eq!(n, terms.len(), "repeated variable");
+        LinExpr { constant, terms }
     }
 
     /// The constant part `c₀`.
@@ -221,6 +239,24 @@ mod tests {
         assert_eq!(e.to_string(), "2*a - b - 3");
         assert_eq!(LinExpr::zero().to_string(), "0");
         assert_eq!(LinExpr::constant(Rat::from(-2i64)).to_string(), "-2");
+    }
+
+    #[test]
+    fn from_vars_equals_the_add_atom_fold() {
+        let (x, y, z) = (Var::named("x"), Var::named("y"), Var::named("z"));
+        let terms = [
+            (z, Rat::from(3i64)),
+            (x, Rat::new((-1).into(), 2.into())),
+            (y, Rat::one()),
+        ];
+        let mut fold = LinExpr::constant(Rat::from(-7i64));
+        for (v, c) in &terms {
+            fold = fold.add_atom(Term::var(*v), c);
+        }
+        let direct = LinExpr::from_vars(Rat::from(-7i64), terms);
+        assert_eq!(direct, fold);
+        assert_eq!(direct.to_string(), fold.to_string());
+        assert_eq!(LinExpr::from_vars(Rat::zero(), []), LinExpr::zero());
     }
 
     #[test]
