@@ -42,6 +42,19 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+echo "== blame confinement gate =="
+# Blame rows belong to the run that recorded them: they live in the
+# budget's observation log and come back in the run's report. A
+# top-level static in the provenance module would be process-global
+# state shared by every analysis in the process. (The thread-local scope
+# stacks sit inside thread_local! and do not match.)
+strays=$(grep -n '^static ' crates/obs/src/provenance.rs || true)
+if [ -n "$strays" ]; then
+    echo "process-global state in crates/obs/src/provenance.rs:"
+    echo "$strays"
+    exit 1
+fi
+
 echo "== fmt check =="
 cargo fmt --all -- --check
 
@@ -144,10 +157,10 @@ rm -f "$probes"
 echo "== precision-provenance smoke (--blame / --blame-out) =="
 # paper_eval --blame exits nonzero unless the canonical widening loss is
 # attributed to the loop's widening site. driver_eval --blame-out exits
-# nonzero unless >=4 loss kinds are covered, the export is bit-identical
-# at 1/2/4 threads, and results are unchanged with the layer off; the
-# exported JSON must parse, cover >=4 kinds, and its differential leg
-# must name the calibrated widening site (analyzer/while in `big`) first.
+# nonzero unless the runs' reports cover >=4 loss kinds and the export
+# is bit-identical at 1/2/4 threads; the exported JSON must parse, cover
+# >=4 kinds, and its differential leg must name the calibrated widening
+# site (analyzer/while in `big`) first.
 cargo run --release -p cai-bench --bin paper_eval --offline -- --blame
 blame_json=$(mktemp /tmp/cai-blame.XXXXXX.json)
 cargo run --release -p cai-bench --bin driver_eval --offline -- \

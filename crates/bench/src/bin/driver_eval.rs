@@ -19,11 +19,13 @@
 //! entry-keyed analysis is never less precise (and strictly more precise
 //! there), printing context and cache counters.
 //!
-//! `--obs-report` prints the global `cai-obs` counter registry at exit
-//! (plus the run's shared join stats under `core/join/…`); `--trace-out
-//! FILE` enables the span tracer and writes a Chrome `trace_event` JSON
-//! profile loadable in `chrome://tracing` or Perfetto. Neither changes
-//! any analysis result.
+//! `--obs-report` prints the global `cai-obs` counter registry at exit,
+//! plus the shared join stats under `core/join/…` and the batch, cache
+//! and edit runs' own context, supervision and summary-cache counts
+//! under `driver/context/…`, `driver/supervision/…` and
+//! `driver/summary-cache/…`. `--trace-out FILE` enables the span tracer
+//! and writes a Chrome `trace_event` JSON profile loadable in
+//! `chrome://tracing` or Perfetto. Neither changes any analysis result.
 //!
 //! `--chaos` wraps every job's domain in a seeded fault injector
 //! (`--chaos-seed N`, default 7) that panics mid-operation, then asserts
@@ -42,24 +44,25 @@
 //!
 //! `--blame` (and `--blame-out FILE`, which also writes the JSON export)
 //! runs the precision-provenance drill: the calibrated budget-policy
-//! workload plus a context-cap leg and a chaos leg under the blame
-//! layer, printing the ranked loss tables and the flat-vs-adaptive
+//! workload plus a context-cap leg and a chaos leg, printing the ranked
+//! loss tables from the runs' reports and the flat-vs-adaptive
 //! differential attribution ("assert N in `big` lost <= … at big/loop#0
 //! (analyzer/while) under flat policy"). Asserts ≥4 loss kinds are
-//! covered, the export is bit-identical at 1/2/4 threads, and results
-//! are unchanged with the layer off.
+//! covered and the export is bit-identical at 1/2/4 threads.
 
 use cai_bench::{
     args::{write_blame_out, write_trace_out},
     Args,
 };
 use cai_core::{
-    AbstractDomain, Budget, BudgetPolicy, ChaosConfig, ChaosDomain, JoinStats, LogicalProduct,
+    AbstractDomain, Budget, BudgetPolicy, ChaosConfig, ChaosDomain, IncidentKind, JoinStats,
+    LogicalProduct,
 };
 use cai_driver::{Driver, ModuleAnalysis, Summary, SummaryCache};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
 use cai_linarith::Polyhedra;
+use cai_obs::Snapshot;
 use cai_term::parse::Vocab;
 use cai_uf::UfDomain;
 use std::time::Instant;
@@ -136,6 +139,32 @@ fn exit_le(d: &Product, a: &Summary, b: &Summary) -> bool {
         (None, _) => true,
         (Some(ca), None) => d.is_bottom(&d.from_conj(ca)),
         (Some(ca), Some(cb)) => d.le(&d.from_conj(ca), &d.from_conj(cb)),
+    }
+}
+
+/// Adds one run's context, supervision and summary-cache counts to `snap`
+/// under their `driver/…` report names.
+fn add_run_counters(snap: &mut Snapshot, a: &ModuleAnalysis) {
+    let (c, s) = (&a.ctx, &a.supervision);
+    let corruptions = a
+        .degradation
+        .incidents_of(IncidentKind::CacheCorruption)
+        .count();
+    for (name, value) in [
+        ("driver/summary-cache/hits", a.reused as u64),
+        ("driver/summary-cache/misses", a.recomputed as u64),
+        ("driver/summary-cache/corruptions", corruptions as u64),
+        ("driver/context/contexts-created", c.contexts_created),
+        ("driver/context/memo-hits", c.memo_hits),
+        ("driver/context/cap-widenings", c.cap_widenings),
+        ("driver/context/top-fallbacks", c.top_fallbacks),
+        ("driver/supervision/panics-caught", s.panics_caught),
+        ("driver/supervision/retries", s.retries),
+        ("driver/supervision/recovered", s.recovered),
+        ("driver/supervision/stalls", s.stalls),
+        ("driver/supervision/quarantined", s.quarantined),
+    ] {
+        snap.add_counter(name, value);
     }
 }
 
@@ -419,20 +448,19 @@ fn budget_policy_drill(threads: usize, seed: u64) {
 
 /// `--blame` / `--blame-out FILE`: the precision-provenance drill.
 ///
-/// Runs four legs of the calibrated workloads under the blame layer —
-/// the starved **flat** and the **adaptive** budget-policy legs on the
-/// mixed module, a **context** leg whose per-procedure cap overflows,
-/// and a **chaos** leg whose base domain injects panics and defective
-/// Alternate operators — then checks:
+/// Runs four legs of the calibrated workloads — the starved **flat** and
+/// the **adaptive** budget-policy legs on the mixed module, a **context**
+/// leg whose per-procedure cap overflows, and a **chaos** leg whose base
+/// domain injects panics and defective Alternate operators — and reads
+/// each run's blame table from its report, then checks:
 ///
-/// - the drained tables cover at least four [`LossKind`](cai_obs::LossKind)s;
+/// - the tables cover at least four [`LossKind`](cai_obs::LossKind)s;
 /// - differential attribution pins the flat-vs-adaptive assertion delta
 ///   on the starved widening site (`analyzer/while` inside `big`);
-/// - the exported JSON is bit-identical at 1, 2 and 4 threads;
-/// - analysis results are bit-identical with the layer on and off.
+/// - the exported JSON is bit-identical at 1, 2 and 4 threads.
 fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
     use cai_driver::{differential, DifferentialReport};
-    use cai_obs::provenance::{self, BlameTable};
+    use cai_obs::BlameTable;
 
     println!("  blame drill: precision provenance + differential attribution");
     let smalls = 6usize;
@@ -440,8 +468,7 @@ fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
     let jobs = (smalls + 1) as u64;
     let poly_driver = || Driver::new(|_: &Budget| Polyhedra::new());
 
-    // Fuel calibration (same arithmetic as the budget-policy drill)
-    // runs before the layer is enabled, so it cannot pollute a table.
+    // Fuel calibration (same arithmetic as the budget-policy drill).
     let single = |name: &str| {
         parse_module(&Vocab::standard(), &m.get(name).expect("proc").to_string())
             .expect("single parses")
@@ -460,35 +487,29 @@ fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
         "calibration: the flat share must starve the big procedure"
     );
 
-    // --- leg runners: each drains the table its run produced ---------
+    // --- leg runners: each run's report carries its blame table -------
     let run_flat = |t: usize| {
-        let mut cache = SummaryCache::new();
-        let a = poly_driver()
+        poly_driver()
             .threads(t)
             .with_budget(Budget::fuel(fuel))
-            .analyze_with_cache(&m, &mut cache);
-        (a, provenance::drain())
+            .analyze(&m)
     };
     let run_adaptive = |t: usize| {
-        let a = poly_driver()
+        poly_driver()
             .threads(t)
             .with_budget(Budget::fuel(fuel))
             .budget_policy(BudgetPolicy::adaptive())
-            .analyze(&m);
-        (a, provenance::drain())
+            .analyze(&m)
     };
     let cm = ctx_module(4);
-    let run_ctx = |t: usize| {
-        let a = product_driver().context_cap(1).threads(t).analyze(&cm);
-        (a, provenance::drain())
-    };
+    let run_ctx = |t: usize| product_driver().context_cap(1).threads(t).analyze(&cm);
     let bm = batch_module(12, 0);
     let run_chaos = |panic: u32, brk: u32, t: usize| {
-        let mut cache = SummaryCache::new();
-        let a = Driver::new(move |b: &Budget| {
+        Driver::new(move |b: &Budget| {
             // The *base* domain misbehaves, so the product's runtime
             // Alternate-contract check (and its `alternate-skipped`
-            // blame event) actually fires.
+            // blame row) actually fires. The product records on the job
+            // budget, so its rows land in the run's report.
             LogicalProduct::new(
                 ChaosDomain::new(AffineEq::new(), seed)
                     .with_config(ChaosConfig {
@@ -499,33 +520,31 @@ fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
                     .with_budget(b.clone()),
                 UfDomain::new(),
             )
+            .with_budget(b.clone())
         })
         .max_retries(0)
         .threads(t)
-        .analyze_with_cache(&bm, &mut cache);
-        (a, provenance::drain())
+        .analyze(&bm)
     };
-
-    provenance::set_enabled(true);
-    let _ = provenance::drain();
+    let skipped_alternate =
+        |a: &ModuleAnalysis| a.degradation.blame.kinds().contains(&"alternate-skipped");
 
     // Escalate the chaos rates deterministically until the seed forces
     // both a quarantine and a rejected defective Alternate — the drill
     // must demonstrate those kinds, not a lucky fault-free run.
     let mut panic_rate = 4u32;
     let mut brk = 100u32;
-    let (mut chaos_probe, mut chaos_tab) = run_chaos(panic_rate, brk, threads);
-    while (chaos_probe.quarantined_count() == 0
-        || !chaos_tab.kinds().contains(&"alternate-skipped"))
+    let mut chaos_probe = run_chaos(panic_rate, brk, threads);
+    while (chaos_probe.quarantined_count() == 0 || !skipped_alternate(&chaos_probe))
         && (panic_rate < 1000 || brk < 1000)
     {
         if chaos_probe.quarantined_count() == 0 {
             panic_rate = (panic_rate * 2).min(1000);
         }
-        if !chaos_tab.kinds().contains(&"alternate-skipped") {
+        if !skipped_alternate(&chaos_probe) {
             brk = (brk * 2).min(1000);
         }
-        (chaos_probe, chaos_tab) = run_chaos(panic_rate, brk, threads);
+        chaos_probe = run_chaos(panic_rate, brk, threads);
     }
     assert!(
         chaos_probe.quarantined_count() > 0,
@@ -536,16 +555,13 @@ fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
     // One full pass = all four legs; returns the export JSON plus the
     // pieces the assertions below need.
     let full_pass = |t: usize| -> (String, DifferentialReport, BlameTable, Vec<&'static str>) {
-        let (flat, flat_tab) = run_flat(t);
-        let (adaptive, adaptive_tab) = run_adaptive(t);
-        let (_ctx, ctx_tab) = run_ctx(t);
-        let (_chaos, chaos_tab) = run_chaos(panic_rate, brk, t);
-        let diff = differential(
-            "adaptive policy",
-            (&adaptive, &adaptive_tab),
-            "flat policy",
-            (&flat, &flat_tab),
-        );
+        let flat = run_flat(t);
+        let adaptive = run_adaptive(t);
+        let ctx = run_ctx(t);
+        let chaos = run_chaos(panic_rate, brk, t);
+        let diff = differential("adaptive policy", &adaptive, "flat policy", &flat);
+        let [flat_tab, adaptive_tab, ctx_tab, chaos_tab] =
+            [flat, adaptive, ctx, chaos].map(|a| a.degradation.blame);
         let mut kinds: Vec<&'static str> = [&flat_tab, &adaptive_tab, &ctx_tab, &chaos_tab]
             .iter()
             .flat_map(|tab| tab.kinds())
@@ -603,25 +619,6 @@ fn blame_drill(threads: usize, seed: u64, out: Option<&str>) {
     );
     assert!(identical, "blame export must be schedule-independent");
 
-    // --- the layer observes, never steers: off == on, bit for bit -----
-    let (flat_on, _) = run_flat(threads);
-    provenance::set_enabled(false);
-    let (flat_off, off_tab) = run_flat(threads);
-    provenance::set_enabled(true);
-    assert!(off_tab.is_empty(), "a disabled layer must record nothing");
-    let transparent = run_fingerprint(&flat_on) == run_fingerprint(&flat_off);
-    println!(
-        "    transparency (provenance on vs off): {}",
-        if transparent {
-            "bit-identical"
-        } else {
-            "MISMATCH"
-        }
-    );
-    assert!(transparent, "the blame layer must not change any result");
-
-    provenance::set_enabled(false);
-    let _ = provenance::drain();
     if let Some(path) = out {
         write_blame_out(path, &json);
     }
@@ -835,6 +832,10 @@ fn main() {
         cai_obs::counter!("core/budget/incidents-dropped");
         let mut snap = cai_obs::global().snapshot();
         join_stats.export_into(&mut snap, "core/join");
+        for run in [&seq, &par, &cold, &warm, &inc] {
+            add_run_counters(&mut snap, run);
+        }
+        snap.add_counter("driver/summary-cache/evictions", cache.stats().evictions);
         println!("\nobs report:");
         println!("{snap}");
     }

@@ -243,10 +243,9 @@ fn budget_policy() {
 
 /// `--blame`: precision provenance on the canonical widening-loss loop.
 /// The flat-policy run widens `x <= 100` away and never narrows; the
-/// blame layer records the loss and the differential report attributes
+/// run's blame table records the loss and the differential report attributes
 /// the flat-vs-adaptive assertion delta to the loop's widening site.
 fn blame() {
-    use cai_obs::provenance;
     header("--blame — precision provenance on the canonical widening loss");
     let vocab = Vocab::standard();
     let m = parse_module(
@@ -262,22 +261,12 @@ fn blame() {
     .expect("counter loop parses");
     let driver = || Driver::new(|_: &Budget| Polyhedra::new());
 
-    provenance::set_enabled(true);
-    let _ = provenance::drain();
     let flat = driver().analyze(&m);
-    let flat_tab = provenance::drain();
     let adaptive = driver().budget_policy(BudgetPolicy::adaptive()).analyze(&m);
-    let adaptive_tab = provenance::drain();
-    provenance::set_enabled(false);
 
     println!("flat-policy blame table:");
-    print!("{flat_tab}");
-    let diff = cai_driver::differential(
-        "adaptive policy",
-        (&adaptive, &adaptive_tab),
-        "flat policy",
-        (&flat, &flat_tab),
-    );
+    print!("{}", flat.degradation.blame);
+    let diff = cai_driver::differential("adaptive policy", &adaptive, "flat policy", &flat);
     print!("{diff}");
     if diff.is_empty() {
         eprintln!("--blame: expected the flat run to lose an assertion to the adaptive run");

@@ -30,14 +30,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cai_obs::{clock, provenance};
+use cai_obs::clock;
+use cai_obs::provenance::{self, BlameTable, LossKind};
 
 /// How often (in ticks) the wall-clock deadline is re-checked; reading the
 /// clock on every tick would dominate the hot loops. (The clock is read via
 /// [`cai_obs::clock::now`], the stack's single audited wall-clock door.)
 const DEADLINE_CHECK_PERIOD: u64 = 256;
 
-/// The domain path the blame layer attributes a degradation site to,
+/// The domain path a degradation site's blame row is attributed to,
 /// derived from the site-string prefix convention (`"logical-product/…"`,
 /// `"analyzer/…"`, `"driver/…"`).
 fn domain_for_site(site: &str) -> &'static str {
@@ -188,16 +189,20 @@ pub struct DegradationReport {
     pub incidents: Vec<Incident>,
     /// Incidents beyond the storage cap (recorded only as a count).
     pub dropped_incidents: usize,
+    /// Every precision loss of the run — degradations, quarantines,
+    /// widenings, failed narrowings, context-cap overflows, skipped
+    /// Alternate definitions — aggregated by scope and site.
+    pub blame: BlameTable,
 }
 
 impl DegradationReport {
     /// Folds another report into this one (used when merging the
     /// per-job budget slices of a parallel analysis): flags are OR-ed,
-    /// fuel adds up, and events/incidents concatenate up to their storage
-    /// caps. Entries that do not fit — whether they overflow *this*
-    /// report's cap or were already dropped by `other` — are preserved as
-    /// counts, so merging N slices neither grows the logs unboundedly nor
-    /// loses how much was cut.
+    /// fuel adds up, blame rows aggregate, and events/incidents
+    /// concatenate up to their storage caps. Entries that do not fit —
+    /// whether they overflow *this* report's cap or were already dropped
+    /// by `other` — are preserved as counts, so merging N slices neither
+    /// grows the logs unboundedly nor loses how much was cut.
     pub fn merge(&mut self, other: &DegradationReport) {
         self.degraded |= other.degraded;
         self.exhausted |= other.exhausted;
@@ -224,6 +229,7 @@ impl DegradationReport {
             }
         }
         self.dropped_incidents += other.dropped_incidents;
+        self.blame.merge(&other.blame);
     }
 
     /// Incidents of one kind, for counters and assertions.
@@ -238,11 +244,12 @@ struct Log {
     dropped: usize,
     incidents: Vec<Incident>,
     dropped_incidents: usize,
+    blame: BlameTable,
 }
 
 /// The *observation* side of a budget — degradation flags and the event/
-/// incident log. Split out so a [`child`](Budget::child) budget can keep
-/// its own fuel/deadline restriction while recording everything it
+/// incident/blame log. Split out so a [`child`](Budget::child) budget can
+/// keep its own fuel/deadline restriction while recording everything it
 /// observes straight onto its parent's log: the supervisor hands each
 /// retry attempt a fresh restriction, and every attempt's events still
 /// land in the one report the driver merges.
@@ -470,15 +477,27 @@ impl Budget {
             cai_obs::counter!("core/budget/events-dropped").incr();
         }
         drop(log);
-        // Every degradation is a precision loss: feed the blame layer
-        // (no-op, one relaxed load, when it is off). The logical round
-        // comes from the emitter's last `provenance::set_round`.
-        provenance::record_at_current_round(
-            provenance::LossKind::BudgetDegrade,
-            site,
-            domain_for_site(site),
-            self.spent(),
-        );
+        // Every degradation is a precision loss, blamed on the calling
+        // thread's scope at the emitter's last `provenance::set_round`.
+        self.lose(LossKind::BudgetDegrade, site, domain_for_site(site), None);
+    }
+
+    /// Records a precision loss that is neither a degradation nor an
+    /// incident — a widening, a failed narrowing pass, a context-cap
+    /// overflow, a skipped Alternate definition — as a row of this
+    /// budget's blame table. `domain` is the domain path (e.g.
+    /// `logical.alt`). With `scope: None` the row goes to the calling
+    /// thread's scope labels at its current logical round; `Some(proc)`
+    /// charges `proc` at round 0, for a loss recorded from outside that
+    /// procedure's analysis.
+    pub fn lose(&self, kind: LossKind, site: &'static str, domain: &str, scope: Option<&str>) {
+        let (scope, round) = match scope {
+            Some(proc) => (proc.to_string(), 0),
+            None => (provenance::current_scope(), provenance::current_round()),
+        };
+        let fuel = self.spent();
+        let mut log = self.inner.obs.log.lock().unwrap_or_else(|e| e.into_inner());
+        log.blame.record(scope, site, domain, kind, round, fuel);
     }
 
     /// Records a supervision [`Incident`] — a caught panic, a watchdog
@@ -505,16 +524,13 @@ impl Budget {
         );
         if incident.kind == IncidentKind::Quarantine {
             // A quarantine pins the procedure to the sound ⊤ summary:
-            // attribute the loss to the procedure itself (the incident
-            // is raised from the driver thread, outside the procedure's
-            // provenance scope).
-            provenance::record_scoped(
-                &incident.subject,
-                provenance::LossKind::Quarantine,
+            // attribute the loss to the procedure itself (a component
+            // crash raises it outside the procedure's scope).
+            self.lose(
+                LossKind::Quarantine,
                 "driver/supervisor",
                 "driver",
-                0,
-                self.spent(),
+                Some(&incident.subject),
             );
         }
         let obs = &*self.inner.obs;
@@ -717,6 +733,7 @@ impl Budget {
             dropped_events: log.dropped,
             incidents: log.incidents.clone(),
             dropped_incidents: log.dropped_incidents,
+            blame: log.blame.clone(),
         }
     }
 }
@@ -1113,6 +1130,77 @@ mod tests {
         assert_eq!(merged.fuel_spent, 3);
         assert_eq!(merged.events.len(), 1);
         assert_eq!(merged.dropped_events, 0);
+    }
+
+    #[test]
+    fn blame_rows_of_children_and_recovery_slices_land_in_the_parent_report() {
+        let parent = Budget::unlimited();
+        let child = parent.child(Some(10), None);
+        let recovery = parent.recovery_slice(5);
+        {
+            let _scope = provenance::scope("f".to_string());
+            provenance::set_round(3);
+            child.degrade("analyzer/while", "forced the loop invariant to top");
+            recovery.lose(LossKind::NarrowFailed, "analyzer/narrow", "interp", None);
+        }
+        child.lose(
+            LossKind::CtxCapOverflow,
+            "driver/context",
+            "driver.context",
+            Some("g"),
+        );
+        let rows = parent.report().blame.entries();
+        assert_eq!(rows.len(), 3, "{rows:?}");
+        let row = |kind| rows.iter().find(|e| e.kind == kind).expect("row");
+        let degrade = row(LossKind::BudgetDegrade);
+        assert_eq!(
+            (
+                degrade.scope.as_str(),
+                degrade.domain.as_str(),
+                degrade.round_max
+            ),
+            ("f", "interp", 3)
+        );
+        let narrow = row(LossKind::NarrowFailed);
+        assert_eq!((narrow.scope.as_str(), narrow.round_max), ("f", 3));
+        let overflow = row(LossKind::CtxCapOverflow);
+        assert_eq!((overflow.scope.as_str(), overflow.round_max), ("g", 0));
+        // A split slice keeps a log of its own, merged by its owner.
+        let slice = parent.split(1).remove(0);
+        slice.lose(LossKind::Widen, "analyzer/while", "interp", None);
+        assert_eq!(parent.report().blame.entries().len(), 3);
+        assert_eq!(slice.report().blame.entries().len(), 1);
+    }
+
+    #[test]
+    fn merge_adds_blame_counts_and_fuel_and_keeps_the_round_range() {
+        let (a, b) = (Budget::unlimited(), Budget::unlimited());
+        assert!(a.tick(4) && b.tick(6));
+        provenance::set_round(2);
+        a.lose(LossKind::Widen, "analyzer/while", "interp", None);
+        provenance::set_round(5);
+        b.lose(LossKind::Widen, "analyzer/while", "interp", None);
+        b.incident(Incident {
+            kind: IncidentKind::Quarantine,
+            subject: "p".into(),
+            detail: "retries exhausted".into(),
+            attempt: 1,
+        });
+        provenance::set_round(0);
+        let mut merged = a.report();
+        merged.merge(&b.report());
+        let rows = merged.blame.entries();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        let widen = &rows[0];
+        assert_eq!(widen.kind, LossKind::Widen);
+        assert_eq!(
+            (widen.count, widen.fuel, widen.round_min, widen.round_max),
+            (2, 10, 2, 5)
+        );
+        assert_eq!(
+            (rows[1].kind, rows[1].scope.as_str()),
+            (LossKind::Quarantine, "p")
+        );
     }
 
     #[test]

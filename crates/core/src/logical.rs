@@ -45,7 +45,7 @@ use crate::cache::{cs, CacheStats, TermMemo, DEFAULT_TERM_MEMO_CAPACITY};
 use crate::domain::{combination_precision, AbstractDomain, Precision, TheoryProps};
 use crate::partition::Partition;
 use crate::saturate::{no_saturate_budgeted, Saturated};
-use cai_obs::{provenance, CounterFamily};
+use cai_obs::{CounterFamily, LossKind};
 use cai_term::{
     fingerprint, purify, purify_memoized, Atom, AtomSide, Conj, Purified, Purifier, PurifyMemo,
     Sig, Term, Var, VarSet,
@@ -470,14 +470,6 @@ impl<E1: Clone, E2: Clone> SplitCache<E1, E2> {
     /// better-funded one.
     fn skip_degraded(&self) {
         self.stats.bump(cs::SKIPS);
-        // Later rounds must re-purify and re-saturate from scratch —
-        // the skipped store is where that recomputation was lost.
-        provenance::record_at_current_round(
-            provenance::LossKind::CacheSkippedDegraded,
-            "logical-product/split-cache",
-            "logical",
-            0,
-        );
     }
 
     /// Stores a healthy split computed for `key`, maintaining the subset
@@ -847,11 +839,11 @@ impl<D1: AbstractDomain, D2: AbstractDomain> LogicalProduct<D1, D2> {
                         });
                         // The definition the Alternate would have
                         // transferred across the product is dropped.
-                        provenance::record_at_current_round(
-                            provenance::LossKind::AlternateSkipped,
+                        self.budget.lose(
+                            LossKind::AlternateSkipped,
                             "logical-product/q-saturation",
                             "logical.alt",
-                            self.budget.spent(),
+                            None,
                         );
                         continue;
                     }

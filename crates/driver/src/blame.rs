@@ -2,10 +2,11 @@
 //! proves fewer assertions than another.
 //!
 //! [`differential`] takes two runs of the same module — a *better* and a
-//! *worse* leg, each a [`ModuleAnalysis`] paired with the
-//! [`BlameTable`](cai_obs::BlameTable) drained from its run — diffs the
-//! per-procedure assertion verdicts, and joins every regressed fact to
-//! the ranked loss events recorded at that procedure's scope. The result
+//! *worse* [`ModuleAnalysis`], each carrying the
+//! [`BlameTable`](cai_obs::BlameTable) of its run in its degradation
+//! report — diffs the per-procedure assertion verdicts, and joins every
+//! regressed fact to the ranked loss events recorded at that procedure's
+//! scope. The result
 //! reads as a causal report:
 //!
 //! ```text
@@ -204,24 +205,14 @@ impl fmt::Display for DifferentialReport {
 fn causes_for(proc: &str, better: &BlameTable, worse: &BlameTable) -> Vec<BlameCause> {
     let mut causes: Vec<BlameCause> = worse
         .for_scope(proc)
-        .map(|e| {
-            let better_count = better
-                .for_scope(proc)
-                .find(|b| {
-                    b.scope == e.scope
-                        && b.site == e.site
-                        && b.domain == e.domain
-                        && b.kind == e.kind
-                })
-                .map_or(0, |b| b.count);
-            BlameCause {
-                scope: e.scope.clone(),
-                site: e.site,
-                domain: e.domain.clone(),
-                kind: e.kind,
-                worse_count: e.count,
-                better_count,
-            }
+        .into_iter()
+        .map(|e| BlameCause {
+            better_count: better.count_of(&e),
+            worse_count: e.count,
+            scope: e.scope,
+            site: e.site,
+            domain: e.domain,
+            kind: e.kind,
         })
         .collect();
     causes.sort_by(|a, b| {
@@ -246,14 +237,14 @@ fn causes_for(proc: &str, better: &BlameTable, worse: &BlameTable) -> Vec<BlameC
 /// order for causes.
 pub fn differential(
     better_label: &str,
-    better: (&ModuleAnalysis, &BlameTable),
+    better: &ModuleAnalysis,
     worse_label: &str,
-    worse: (&ModuleAnalysis, &BlameTable),
+    worse: &ModuleAnalysis,
 ) -> DifferentialReport {
     let mut regressions = Vec::new();
     let mut inversions = 0usize;
-    for wr in &worse.0.reports {
-        let Some(br) = better.0.reports.iter().find(|r| r.name == wr.name) else {
+    for wr in &worse.reports {
+        let Some(br) = better.reports.iter().find(|r| r.name == wr.name) else {
             continue;
         };
         for (index, (b, w)) in br.assertions.iter().zip(&wr.assertions).enumerate() {
@@ -262,7 +253,11 @@ pub fn differential(
                     proc: wr.name.clone(),
                     index,
                     atom: b.atom.to_string(),
-                    causes: causes_for(&wr.name, better.1, worse.1),
+                    causes: causes_for(
+                        &wr.name,
+                        &better.degradation.blame,
+                        &worse.degradation.blame,
+                    ),
                 });
             } else if w.verified && !b.verified {
                 inversions += 1;
@@ -283,7 +278,6 @@ mod tests {
     use crate::engine::ProcReport;
     use crate::summary::Summary;
     use cai_interp::AssertionOutcome;
-    use cai_obs::BlameEntry;
     use cai_term::{Atom, Term};
 
     fn report(name: &str, verdicts: &[bool]) -> ProcReport {
@@ -302,54 +296,49 @@ mod tests {
         }
     }
 
-    fn analysis(reports: Vec<ProcReport>) -> ModuleAnalysis {
-        ModuleAnalysis {
+    /// A run with `reports` whose blame table holds `rows` of
+    /// `(scope, site, kind, count)`.
+    fn analysis(
+        reports: Vec<ProcReport>,
+        rows: &[(&str, &'static str, LossKind, u64)],
+    ) -> ModuleAnalysis {
+        let mut a = ModuleAnalysis {
             reports,
             reused: 0,
             recomputed: 0,
             degradation: Default::default(),
             ctx: Default::default(),
             supervision: Default::default(),
+        };
+        for &(scope, site, kind, count) in rows {
+            for _ in 0..count {
+                a.degradation
+                    .blame
+                    .record(scope.to_string(), site, "interp", kind, 0, 0);
+            }
         }
-    }
-
-    fn entry(scope: &str, site: &'static str, kind: LossKind, count: u64) -> BlameEntry {
-        BlameEntry {
-            scope: scope.to_string(),
-            site,
-            domain: "interp".to_string(),
-            kind,
-            count,
-            fuel: 0,
-            round_min: 0,
-            round_max: 0,
-        }
+        a
     }
 
     #[test]
     fn regressions_join_causes_ranked_by_delta() {
-        let better = analysis(vec![report("f", &[true, true])]);
-        let worse = analysis(vec![report("f", &[true, false])]);
-        let better_blame = BlameTable {
-            entries: vec![
-                entry("f", "driver/context", LossKind::CtxCapOverflow, 5),
-                entry("f/loop#0", "analyzer/while", LossKind::Widen, 1),
+        let better = analysis(
+            vec![report("f", &[true, true])],
+            &[
+                ("f", "driver/context", LossKind::CtxCapOverflow, 5),
+                ("f/loop#0", "analyzer/while", LossKind::Widen, 1),
             ],
-        };
-        let worse_blame = BlameTable {
-            entries: vec![
+        );
+        let worse = analysis(
+            vec![report("f", &[true, false])],
+            &[
                 // Same count both legs: delta 0, ranks below the widen row
                 // despite the higher absolute count.
-                entry("f", "driver/context", LossKind::CtxCapOverflow, 5),
-                entry("f/loop#0", "analyzer/while", LossKind::Widen, 4),
+                ("f", "driver/context", LossKind::CtxCapOverflow, 5),
+                ("f/loop#0", "analyzer/while", LossKind::Widen, 4),
             ],
-        };
-        let d = differential(
-            "adaptive policy",
-            (&better, &better_blame),
-            "flat policy",
-            (&worse, &worse_blame),
         );
+        let d = differential("adaptive policy", &better, "flat policy", &worse);
         assert_eq!(d.regressions.len(), 1);
         assert_eq!(d.inversions, 0);
         let r = &d.regressions[0];
@@ -370,10 +359,9 @@ mod tests {
 
     #[test]
     fn empty_diff_and_inversions_are_reported() {
-        let a = analysis(vec![report("g", &[false, true])]);
-        let b = analysis(vec![report("g", &[true, true])]);
-        let none = BlameTable::default();
-        let d = differential("better", (&a, &none), "worse", (&b, &none));
+        let a = analysis(vec![report("g", &[false, true])], &[]);
+        let b = analysis(vec![report("g", &[true, true])], &[]);
+        let d = differential("better", &a, "worse", &b);
         assert!(d.is_empty());
         assert_eq!(d.inversions, 1);
         assert!(d.to_string().contains("not ordered"), "{d}");

@@ -24,7 +24,7 @@
 use crate::summary::{entry_context, entry_key, instantiate_summary, summarize, Summary};
 use cai_core::AbstractDomain;
 use cai_interp::{AnalysisConfig, Analyzer, CallResolver, CallSite, Module, Procedure};
-use cai_obs::{provenance, write_kv, CounterFamily};
+use cai_obs::{provenance, write_kv, CounterFamily, LossKind};
 use cai_term::Conj;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -300,13 +300,11 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         // The cap is where entry distinctions die: every overflow entry
         // is widened into one context (or all the way to the ⊤-entry
         // summary), so blame the loss on the overflowing procedure.
-        provenance::record_scoped(
-            &proc.name,
-            provenance::LossKind::CtxCapOverflow,
+        self.cfg.budget.lose(
+            LossKind::CtxCapOverflow,
             "driver/context",
             "driver.context",
-            0,
-            self.cfg.budget.spent(),
+            Some(&proc.name),
         );
         let (prev, recomputes) = {
             let store = self.store.borrow();
@@ -381,7 +379,7 @@ impl<'a, D: AbstractDomain> ContextResolver<'a, D> {
         self.in_progress.borrow_mut().push((proc.name.clone(), key));
         // Losses inside the specialization belong to the callee, not to
         // whatever caller scope demanded it.
-        let blame_scope = provenance::scope(|| format!("{}@ctx", proc.name));
+        let blame_scope = provenance::scope(format!("{}@ctx", proc.name));
         let analysis = Analyzer::new(d)
             .with_calls(self)
             .with_config(self.cfg.clone())

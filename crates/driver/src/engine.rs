@@ -57,8 +57,9 @@ pub struct ModuleAnalysis {
     pub reused: usize,
     /// Procedures (re)analyzed this run.
     pub recomputed: usize,
-    /// The merged degradation report: the driver's own budget plus every
-    /// worker slice.
+    /// The merged degradation report of this run: every job's budget
+    /// slice plus the cache entries rejected as corrupt, with the ranked
+    /// blame table of every precision loss.
     pub degradation: DegradationReport,
     /// Context-sensitivity counters for this run (all zero under
     /// [`Driver::context_cap`]`(0)`).
@@ -278,9 +279,10 @@ impl SummaryCache {
     /// Stores `entry` for the procedure `name` unless it is `degraded`.
     /// Degraded results — every member of a job whose budget slice
     /// degraded (quarantined reports included) or that read such a
-    /// job's summaries — are counted as skips and dropped: they are this-run survival measures and must never poison
-    /// a later run. A skip costs this run no precision, so it records no
-    /// provenance loss; the loss is recorded where the slice degraded.
+    /// job's summaries — are counted as skips and dropped: they are
+    /// this-run survival measures and must never poison a later run. A
+    /// skip costs this run no precision, so it adds no blame row; the
+    /// loss is recorded where the slice degraded.
     pub fn store(&mut self, name: String, entry: CacheEntry, degraded: bool) {
         if degraded {
             self.stats.bump(cs::SKIPS);
@@ -624,14 +626,13 @@ where
     /// Entries for procedures no longer in the module are pruned.
     pub fn analyze_with_cache(&self, module: &Module, cache: &mut SummaryCache) -> ModuleAnalysis {
         let _span = cai_obs::span!("driver/analyze-module");
-        let cache_before = cache.stats();
-        // The driver budget's incident log persists across runs; remember
-        // where it stood so only *this run's* incidents feed the cache's
-        // decayed history.
-        let prior_incidents = self.cfg.budget.report().incidents.len();
         // Integrity first: a corrupted entry must be rejected before any
-        // reuse decision looks at it (recompute, never wrong reuse).
-        cache.reject_corrupt(&self.cfg.budget);
+        // reuse decision looks at it (recompute, never wrong reuse). The
+        // rejections go on a log of this run's own: the driver's budget
+        // outlives the run, so anything recorded there would reappear in
+        // every later report.
+        let run_log = Budget::unlimited();
+        cache.reject_corrupt(&run_log);
 
         let graph = CallGraph::build(module);
         let n_sccs = graph.sccs.len();
@@ -769,14 +770,8 @@ where
             .filter(|&&c| tainted[c])
             .flat_map(|&c| graph.sccs[c].iter().map(|&i| module.procs[i].name.as_str()))
             .collect();
-        let main_report = self.cfg.budget.report();
-        cache.absorb_incidents(
-            degradation
-                .incidents
-                .iter()
-                .chain(main_report.incidents.iter().skip(prior_incidents)),
-        );
-        degradation.merge(&main_report);
+        degradation.merge(&run_log.report());
+        cache.absorb_incidents(degradation.incidents.iter());
 
         // Merge context specializations deterministically: the seed
         // first (it was every job's memo base), then each job's store in
@@ -830,16 +825,13 @@ where
             .iter()
             .filter_map(|p| reports.remove(&p.name))
             .collect();
-        let ctx = ctx_stats.snapshot();
-        let supervision = sup_stats.snapshot();
-        export_run_counters(&cache.stats(), &cache_before, &ctx, &supervision);
         ModuleAnalysis {
             reports: ordered,
             reused,
             recomputed,
             degradation,
-            ctx,
-            supervision,
+            ctx: ctx_stats.snapshot(),
+            supervision: sup_stats.snapshot(),
         }
     }
 
@@ -1281,7 +1273,7 @@ where
         let _span = cai_obs::span!(format!("analyze/{}", proc.name));
         // Blame scope: every loss the attempt records is attributed to
         // this procedure (loops nest their `loop#N` labels below it).
-        let _blame_scope = provenance::scope(|| proc.name.clone());
+        let _blame_scope = provenance::scope(proc.name.clone());
         let outcome = supervisor::supervise(
             &proc.name,
             &cfg.sup,
@@ -1409,34 +1401,6 @@ where
         });
     }
     (out, take_contexts(ctx_resolver))
-}
-
-/// Mirrors one run's summary-cache traffic and the ctx/sup facade
-/// snapshots into the global `cai-obs` registry, so an `--obs-report`
-/// sees the driver layer without threading the registry through the
-/// schedulers. Cache counters are cumulative across runs, hence the
-/// before/after delta.
-fn export_run_counters(
-    now: &CacheStats,
-    before: &CacheStats,
-    ctx: &CtxStatsSnapshot,
-    sup: &SupStatsSnapshot,
-) {
-    let delta = |a: u64, b: u64| a.saturating_sub(b);
-    cai_obs::counter!("driver/summary-cache/hits").add(delta(now.hits, before.hits));
-    cai_obs::counter!("driver/summary-cache/misses").add(delta(now.misses, before.misses));
-    cai_obs::counter!("driver/summary-cache/evictions").add(delta(now.evictions, before.evictions));
-    cai_obs::counter!("driver/summary-cache/corruptions")
-        .add(delta(now.corruptions, before.corruptions));
-    cai_obs::counter!("driver/context/contexts-created").add(ctx.contexts_created);
-    cai_obs::counter!("driver/context/memo-hits").add(ctx.memo_hits);
-    cai_obs::counter!("driver/context/cap-widenings").add(ctx.cap_widenings);
-    cai_obs::counter!("driver/context/top-fallbacks").add(ctx.top_fallbacks);
-    cai_obs::counter!("driver/supervision/panics-caught").add(sup.panics_caught);
-    cai_obs::counter!("driver/supervision/retries").add(sup.retries);
-    cai_obs::counter!("driver/supervision/recovered").add(sup.recovered);
-    cai_obs::counter!("driver/supervision/stalls").add(sup.stalls);
-    cai_obs::counter!("driver/supervision/quarantined").add(sup.quarantined);
 }
 
 fn take_contexts<D: AbstractDomain>(

@@ -292,6 +292,38 @@ fn corrupted_cache_entries_are_rejected_and_recomputed() {
     assert_eq!(cache.stats().corruptions, 1, "no further rejections");
 }
 
+/// A reused `Driver` reports each run's incidents once: the rejection of
+/// a corrupted entry shows up in the run that rejected it and in no later
+/// run, including a cold run on a fresh cache.
+#[test]
+fn a_reused_driver_reports_only_each_runs_own_incidents() {
+    let m = batch(3);
+    let driver = Driver::new(|_| product());
+    let mut cache = SummaryCache::new();
+    let corruptions = |a: &ModuleAnalysis| {
+        a.degradation
+            .incidents_of(IncidentKind::CacheCorruption)
+            .count()
+    };
+    driver.analyze_with_cache(&m, &mut cache);
+    assert!(cache.corrupt_entry("mid1"), "entry exists to corrupt");
+    let rejecting = driver.analyze_with_cache(&m, &mut cache);
+    assert_eq!(corruptions(&rejecting), 1, "the rejection is reported");
+    let warm = driver.analyze_with_cache(&m, &mut cache);
+    assert_eq!(
+        corruptions(&warm),
+        0,
+        "a clean warm run reports no rejection"
+    );
+    let cold = driver.analyze(&m);
+    assert_eq!(corruptions(&cold), 0, "a cold run reports no rejection");
+    assert!(
+        cold.degradation.incidents.is_empty(),
+        "{:?}",
+        cold.degradation
+    );
+}
+
 #[test]
 fn quarantined_results_are_never_persisted() {
     let m = batch(3);

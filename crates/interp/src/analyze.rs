@@ -4,7 +4,7 @@
 
 use crate::ast::{stmt_measures, Cond, Program, Stmt};
 use cai_core::{AbstractDomain, Budget, BudgetPolicy, DegradationReport, SizeMeasures};
-use cai_obs::provenance;
+use cai_obs::{provenance, LossKind};
 use cai_term::{Atom, Conj, Term, Var, VarSet};
 use std::collections::BTreeMap;
 
@@ -409,20 +409,14 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
         let outer_budget = std::mem::replace(&mut self.budget, slice.clone());
         let mut cur = widened;
         let mut adopted = false;
-        let narrow_failed = |round: usize| {
-            provenance::record(
-                provenance::LossKind::NarrowFailed,
-                "analyzer/narrow",
-                "interp",
-                round as u64,
-                slice.spent(),
-            );
+        let narrow_failed = || {
+            slice.lose(LossKind::NarrowFailed, "analyzer/narrow", "interp", None);
         };
         for round in 1..=policy.narrow_rounds() as usize {
             provenance::set_round(round as u64);
             if !slice.tick(1) {
                 slice.degrade("analyzer/narrow", "stopped the recovery pass early");
-                narrow_failed(round);
+                narrow_failed();
                 break;
             }
             cai_obs::counter!("interp/narrow/rounds").incr();
@@ -436,13 +430,13 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
             if !d.le(&y, &cur) {
                 // Not a descent (e.g. degraded domain operations under a
                 // starved slice): keep what we have.
-                narrow_failed(round);
+                narrow_failed();
                 break;
             }
             let candidate = d.narrow(&cur, &y);
             if !(d.le(&y, &candidate) && d.le(&candidate, &cur)) {
                 slice.degrade("analyzer/narrow", "rejected an out-of-bracket narrowing");
-                narrow_failed(round);
+                narrow_failed();
                 break;
             }
             if d.equal_elems(&candidate, &cur) {
@@ -459,7 +453,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                     "analyzer/narrow",
                     "candidate failed the inductiveness re-check",
                 );
-                narrow_failed(round);
+                narrow_failed();
                 break;
             }
             cur = candidate;
@@ -545,7 +539,7 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                 // label never depends on how many rounds the fixpoint took.
                 let loop_index = self.next_loop_index;
                 self.next_loop_index += 1;
-                let _blame_scope = provenance::scope(|| format!("loop#{loop_index}"));
+                let _blame_scope = provenance::scope(format!("loop#{loop_index}"));
                 let entry = e.clone();
                 let mut inv = e;
                 let mut iterations = 0usize;
@@ -578,13 +572,8 @@ impl<'a, 'd, D: AbstractDomain> Ctx<'a, 'd, D> {
                     } else {
                         self.stats.widens += 1;
                         cai_obs::counter!("interp/fixpoint/widenings").incr();
-                        provenance::record(
-                            provenance::LossKind::Widen,
-                            "analyzer/while",
-                            "interp",
-                            iterations as u64,
-                            self.budget.spent(),
-                        );
+                        self.budget
+                            .lose(LossKind::Widen, "analyzer/while", "interp", None);
                         widened = true;
                         d.widen(&inv, &after)
                     };

@@ -11,9 +11,9 @@
 //! > tracer off, on, or on with a different thread count produce bit-identical
 //! > summaries (pinned by `tests/obs.rs` at the workspace root).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
-//! * [`metrics`] — a process-wide registry of named counters / gauges /
+//! * [`metrics`] — a process-wide registry of named counters and
 //!   histograms with cheap `Arc`-shared handles and subtractable
 //!   [`Snapshot`]s. Hot paths cache a handle in a `OnceLock` via the
 //!   [`counter!`] macro, so a bump is one atomic add.
@@ -24,12 +24,12 @@
 //!   writing to per-thread ring buffers (no global mutex on the hot path) and
 //!   exporting Chrome `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!   When disabled, a span is a single relaxed atomic load.
-//! * [`provenance`] — the precision blame layer: every precision-losing
+//! * [`provenance`] — the precision blame rows: every precision-losing
 //!   operation (widening, budget degradation, context-cap overflow,
-//!   quarantine, skipped cache store, defective Alternate) records a loss
-//!   event under its procedure/loop scope, aggregated into a ranked,
-//!   deterministic [`BlameTable`] with JSON export. Same contract as the
-//!   tracer: one relaxed load when off, bit-identical results on or off.
+//!   quarantine, defective Alternate) records a loss event under its
+//!   procedure/loop scope into the run's budget log, aggregated into a
+//!   ranked, deterministic [`BlameTable`] with JSON export. It holds no
+//!   process-global state: the table is part of the run's report.
 //!
 //! [`clock::now`] wraps `Instant::now` so governed components (budget
 //! deadlines, the supervisor watchdog) read the clock through one audited
@@ -43,8 +43,7 @@ pub mod trace;
 
 pub use family::{write_kv, CounterFamily, FamilySnapshot};
 pub use metrics::{
-    escape_metric_name, global, Counter, Gauge, Histogram, HistogramSummary, Metrics, Snapshot,
-    Value,
+    escape_metric_name, global, Counter, Histogram, HistogramSummary, Metrics, Snapshot, Value,
 };
 pub use provenance::{BlameEntry, BlameTable, LossKind};
 pub use trace::{EventKind, SpanGuard, Trace, TraceEvent};

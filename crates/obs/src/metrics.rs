@@ -1,4 +1,4 @@
-//! Named metrics: counters, gauges, histograms, and subtractable snapshots.
+//! Named metrics: counters, histograms, and subtractable snapshots.
 //!
 //! The process-wide registry ([`global`]) is the home for layer-wide
 //! instrumentation (e-graph merges, fixpoint iterations, cache traffic, fuel
@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotonically increasing counter.
@@ -42,38 +42,6 @@ impl Counter {
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a signed value that can move both ways.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    cell: Arc<AtomicI64>,
-}
-
-impl Gauge {
-    /// A detached gauge (not registered anywhere).
-    #[must_use]
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Set the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.cell.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
     }
 }
@@ -241,7 +209,6 @@ impl fmt::Display for HistogramSummary {
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -280,19 +247,6 @@ impl Metrics {
         }
     }
 
-    /// Get or create the gauge `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.map();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => Gauge::new(),
-        }
-    }
-
     /// Get or create the histogram `name`.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -315,7 +269,6 @@ impl Metrics {
             .map(|(name, metric)| {
                 let value = match metric {
                     Metric::Counter(c) => Value::Counter(c.get()),
-                    Metric::Gauge(g) => Value::Gauge(g.get()),
                     Metric::Histogram(h) => Value::Histogram(h.summary()),
                 };
                 (name.clone(), value)
@@ -362,8 +315,6 @@ macro_rules! histogram {
 pub enum Value {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(i64),
     /// Histogram summary.
     Histogram(HistogramSummary),
 }
@@ -430,8 +381,8 @@ impl Snapshot {
 
     /// Entry-wise subtraction (`self - baseline`).
     ///
-    /// Counters and histogram counts/sums subtract saturating; gauges and
-    /// histogram min/max keep `self`'s value (they are not cumulative).
+    /// Counters and histogram counts/sums subtract saturating; histogram
+    /// min/max keep `self`'s value (they are not cumulative).
     /// Entries absent from `baseline` carry over unchanged.
     #[must_use]
     pub fn diff(&self, baseline: &Snapshot) -> Snapshot {
@@ -480,7 +431,6 @@ impl fmt::Display for Snapshot {
         for (name, value) in &self.entries {
             match value {
                 Value::Counter(v) => writeln!(f, "{name:width$}  {v}")?,
-                Value::Gauge(v) => writeln!(f, "{name:width$}  {v}")?,
                 Value::Histogram(h) => writeln!(f, "{name:width$}  {h}")?,
             }
         }
@@ -531,7 +481,7 @@ pub(crate) fn escape_json(s: &str) -> String {
 }
 
 impl Snapshot {
-    /// Render as a JSON object: counters and gauges as numbers, histograms as
+    /// Render as a JSON object: counters as numbers, histograms as
     /// `{count, sum, min, max, p50, p95, p99}` objects. Keys are sorted and
     /// name-escaped ([`escape_metric_name`]), so the rendering is stable and
     /// always valid JSON.
@@ -547,7 +497,6 @@ impl Snapshot {
             out.push_str("\":");
             match value {
                 Value::Counter(v) => out.push_str(&v.to_string()),
-                Value::Gauge(v) => out.push_str(&v.to_string()),
                 Value::Histogram(h) => {
                     out.push_str(&format!(
                         "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
@@ -580,8 +529,7 @@ mod tests {
     fn kind_mismatch_yields_detached_handle() {
         let m = Metrics::new();
         m.counter("x").incr();
-        let g = m.gauge("x");
-        g.set(42);
+        m.histogram("x").observe(42);
         // The registry keeps the original kind; the mismatched handle is inert.
         assert_eq!(m.snapshot().counter("x"), 1);
     }
@@ -598,28 +546,6 @@ mod tests {
         assert_eq!(delta.counter("work"), 7);
         // Subtracting in the wrong order saturates rather than wrapping.
         assert_eq!((&before - &after).counter("work"), 0);
-    }
-
-    #[test]
-    fn snapshot_diff_histograms_and_gauges() {
-        let m = Metrics::new();
-        let h = m.histogram("lat");
-        let g = m.gauge("depth");
-        h.observe(5);
-        g.set(3);
-        let before = m.snapshot();
-        h.observe(9);
-        g.set(-2);
-        let after = m.snapshot();
-        let delta = after.diff(&before);
-        match delta.get("lat") {
-            Some(Value::Histogram(s)) => {
-                assert_eq!(s.count, 1);
-                assert_eq!(s.sum, 9);
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
-        assert_eq!(delta.get("depth"), Some(Value::Gauge(-2)));
     }
 
     #[test]

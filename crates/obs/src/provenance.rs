@@ -1,77 +1,45 @@
-//! Precision provenance: a deterministic blame layer that attributes
-//! every lost fact to the widening, degradation, or cap that dropped it.
+//! Precision provenance: the blame table that says where each precision
+//! loss happened.
 //!
-//! The combination operators trade precision for termination at many
-//! distinct sites — widenings, budget degradations, context-cap
-//! overflows, quarantines, skipped cache stores, defective Alternate
-//! operators. Counters say *how often* those sites fire; this layer says
-//! *where*: every precision-losing operation records a loss event
-//! carrying its scope (procedure / loop), site string, domain path,
+//! The combination operators trade precision for termination at several
+//! sites — widenings, budget degradations, context-cap overflows,
+//! quarantines, defective Alternate operators. Counters say *how often*
+//! those sites fire; the blame table says *where*: every loss becomes one
+//! event carrying its scope (procedure / loop), site string, domain path,
 //! [`LossKind`], logical round number, and fuel spent, and the events
-//! aggregate into a per-scope, per-site [`BlameTable`] with top-K
+//! aggregate into per-scope, per-site rows of a [`BlameTable`] with top-K
 //! ranking and JSON export.
+//!
+//! This module keeps no table of its own. Losses are recorded on the
+//! run's `cai_core::Budget` (its `degrade`, `incident` and `lose`
+//! methods), whose observation log belongs to that run: the table comes
+//! back in the run's `DegradationReport`, and two analyses in one process
+//! never see each other's rows. What lives here is the row type and the
+//! thread-local context a loss is attributed to — the scope labels
+//! ([`scope`]) and the logical round ([`set_round`]).
 //!
 //! Design constraints, shared with the span tracer ([`crate::trace`]):
 //!
-//! 1. **Disabled means free.** [`enabled`] is one relaxed atomic load;
-//!    [`scope`] does not evaluate its label closure and [`record`] does
-//!    not touch the aggregation map when the layer is off.
-//! 2. **Observation only.** Nothing ever reads the blame state back into
-//!    an analysis decision; results are bit-identical with the layer on
-//!    and off (pinned by `tests/blame.rs`).
-//! 3. **Deterministic across schedules.** Events carry *logical* round
+//! 1. **Observation only.** Nothing ever reads a blame row back into an
+//!    analysis decision.
+//! 2. **Deterministic across schedules.** Events carry *logical* round
 //!    numbers, never wall clock. Scopes live in thread-local stacks, and
 //!    jobs are shared-nothing, so the labels a run produces do not depend
 //!    on which worker thread ran which job. Aggregation is additive and
 //!    commutative — a `(scope, site, domain, kind)` key maps to counts,
-//!    fuel totals, and round min/max, all order-independent — so the
-//!    drained table is identical at every thread count.
+//!    fuel totals, and round min/max, all order-independent — so merging
+//!    the per-job tables in any order yields the same table at every
+//!    thread count.
 //!
-//! Adding a loss site is three lines: push a [`scope`] guard if the
-//! enclosing region is not already labelled, then call [`record`] at the
-//! point where precision is given up (see DESIGN.md §11).
+//! Adding a loss site: push a [`scope`] guard if the enclosing region is
+//! not already labelled, then call `Budget::lose` at the point where
+//! precision is given up (see DESIGN.md §11).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
 use crate::metrics::escape_metric_name;
-
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-
-/// Is the blame layer on?
-///
-/// First call initialises from the `CAI_BLAME` env var; subsequent calls
-/// are a single relaxed load.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_UNINIT => init_from_env(),
-        s => s == STATE_ON,
-    }
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    let state = if std::env::var_os("CAI_BLAME").is_some() {
-        STATE_ON
-    } else {
-        STATE_OFF
-    };
-    let _ = STATE.compare_exchange(STATE_UNINIT, state, Ordering::Relaxed, Ordering::Relaxed);
-    STATE.load(Ordering::Relaxed) == STATE_ON
-}
-
-/// Turn the blame layer on or off, overriding the `CAI_BLAME` default.
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
 
 /// Why a fact was lost. Every variant has a stable string name
 /// ([`LossKind::as_str`]); the tracer's `incident/<kind>` instants use
@@ -95,9 +63,6 @@ pub enum LossKind {
     /// A procedure exhausted its retry allowance and was pinned to the
     /// sound ⊤ summary.
     Quarantine,
-    /// A computed value was not cached because it was produced under a
-    /// degraded budget — later rounds pay the recomputation.
-    CacheSkippedDegraded,
     /// A defective Alternate operator was skipped during NO-saturation,
     /// dropping the cross-domain facts it would have transferred.
     AlternateSkipped,
@@ -105,13 +70,12 @@ pub enum LossKind {
 
 impl LossKind {
     /// Every kind, for coverage checks.
-    pub const ALL: [LossKind; 7] = [
+    pub const ALL: [LossKind; 6] = [
         LossKind::Widen,
         LossKind::BudgetDegrade,
         LossKind::NarrowFailed,
         LossKind::CtxCapOverflow,
         LossKind::Quarantine,
-        LossKind::CacheSkippedDegraded,
         LossKind::AlternateSkipped,
     ];
 
@@ -123,7 +87,6 @@ impl LossKind {
             LossKind::NarrowFailed => "narrow-failed",
             LossKind::CtxCapOverflow => "ctx-cap-overflow",
             LossKind::Quarantine => "quarantine",
-            LossKind::CacheSkippedDegraded => "cache-skipped-degraded",
             LossKind::AlternateSkipped => "alternate-skipped",
         }
     }
@@ -140,54 +103,53 @@ thread_local! {
     /// last) plus the saved logical round of each enclosing scope.
     static SCOPES: RefCell<Vec<(String, u64)>> = const { RefCell::new(Vec::new()) };
     /// The current logical round (fixpoint iteration, Jacobi round,
-    /// narrowing round) — attached to events recorded without an
-    /// explicit round, e.g. the `Budget::degrade` hook.
-    static ROUND: RefCell<u64> = const { RefCell::new(0) };
+    /// narrowing round) — attached to losses recorded without an
+    /// explicit round, e.g. by `Budget::degrade`.
+    static ROUND: Cell<u64> = const { Cell::new(0) };
 }
 
 /// RAII guard for one scope label; see [`scope`].
 pub struct ScopeGuard {
-    pushed: bool,
+    _private: (),
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            SCOPES.with(|s| {
-                if let Some((_, saved)) = s.borrow_mut().pop() {
-                    ROUND.with(|r| *r.borrow_mut() = saved);
-                }
-            });
-        }
+        SCOPES.with(|s| {
+            if let Some((_, saved)) = s.borrow_mut().pop() {
+                ROUND.with(|r| r.set(saved));
+            }
+        });
     }
 }
 
 /// Pushes a scope label (a procedure name, `loop#2`, …) onto the current
-/// thread's scope stack until the returned guard drops. The label
-/// closure is only evaluated when the layer is [`enabled`]. Entering a
-/// scope zeroes the logical round (see [`set_round`]) and restores the
+/// thread's scope stack until the returned guard drops. Entering a scope
+/// zeroes the logical round (see [`set_round`]) and restores the
 /// enclosing scope's round on exit.
 #[must_use = "the scope ends when the guard drops"]
-pub fn scope(label: impl FnOnce() -> String) -> ScopeGuard {
-    if !enabled() {
-        return ScopeGuard { pushed: false };
-    }
-    let saved = ROUND.with(|r| std::mem::take(&mut *r.borrow_mut()));
-    SCOPES.with(|s| s.borrow_mut().push((label(), saved)));
-    ScopeGuard { pushed: true }
+pub fn scope(label: String) -> ScopeGuard {
+    let saved = ROUND.with(|r| r.replace(0));
+    SCOPES.with(|s| s.borrow_mut().push((label, saved)));
+    ScopeGuard { _private: () }
 }
 
 /// Sets the current logical round — the loop fixpoint iteration, Jacobi
-/// round, or narrowing round — attached to events recorded through hooks
-/// that do not know it (e.g. `Budget::degrade`). No-op when disabled.
+/// round, or narrowing round — attached to losses recorded at the
+/// calling thread's scope.
 #[inline]
 pub fn set_round(round: u64) {
-    if enabled() {
-        ROUND.with(|r| *r.borrow_mut() = round);
-    }
+    ROUND.with(|r| r.set(round));
 }
 
-fn current_scope() -> String {
+/// The calling thread's current logical round (see [`set_round`]).
+pub fn current_round() -> u64 {
+    ROUND.with(Cell::get)
+}
+
+/// The calling thread's `/`-joined scope labels, outermost first, or
+/// `(top)` outside any scope.
+pub fn current_scope() -> String {
     SCOPES.with(|s| {
         let s = s.borrow();
         if s.is_empty() {
@@ -204,7 +166,7 @@ fn current_scope() -> String {
 /// The aggregation key: one row of the blame table.
 type Key = (String, &'static str, String, LossKind);
 
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Agg {
     count: u64,
     fuel: u64,
@@ -212,74 +174,13 @@ struct Agg {
     round_max: u64,
 }
 
-static TABLE: Mutex<BTreeMap<Key, Agg>> = Mutex::new(BTreeMap::new());
-
-fn add(key: Key, round: u64, fuel: u64) {
-    let mut table = TABLE.lock().unwrap_or_else(|e| e.into_inner());
-    let agg = table.entry(key).or_insert(Agg {
-        count: 0,
-        fuel: 0,
-        round_min: round,
-        round_max: round,
-    });
-    agg.count += 1;
-    agg.fuel = agg.fuel.saturating_add(fuel);
-    agg.round_min = agg.round_min.min(round);
-    agg.round_max = agg.round_max.max(round);
-}
-
-/// Records one loss event under the current thread's scope. `site` is
-/// the same stable string the budget's degradation log uses (e.g.
-/// `"analyzer/while"`); `domain` is the domain path (e.g. `logical.uf`);
-/// `round` is the logical round the loss happened in (0 when the loss is
-/// not attached to a fixpoint); `fuel` is the ticks spent at that point.
-/// No-op (one relaxed load) when disabled.
-#[inline]
-pub fn record(kind: LossKind, site: &'static str, domain: &str, round: u64, fuel: u64) {
-    if !enabled() {
-        return;
+impl Agg {
+    fn fold(&mut self, other: &Agg) {
+        self.count += other.count;
+        self.fuel = self.fuel.saturating_add(other.fuel);
+        self.round_min = self.round_min.min(other.round_min);
+        self.round_max = self.round_max.max(other.round_max);
     }
-    add(
-        (current_scope(), site, domain.to_string(), kind),
-        round,
-        fuel,
-    );
-}
-
-/// Like [`record`], but under an explicit scope instead of the calling
-/// thread's — for losses attributed to a procedure from outside its
-/// analysis (quarantines).
-#[inline]
-pub fn record_scoped(
-    scope: &str,
-    kind: LossKind,
-    site: &'static str,
-    domain: &str,
-    round: u64,
-    fuel: u64,
-) {
-    if !enabled() {
-        return;
-    }
-    add(
-        (scope.to_string(), site, domain.to_string(), kind),
-        round,
-        fuel,
-    );
-}
-
-/// Like [`record`], but the current round is taken from [`set_round`].
-#[inline]
-pub fn record_at_current_round(kind: LossKind, site: &'static str, domain: &str, fuel: u64) {
-    if !enabled() {
-        return;
-    }
-    let round = ROUND.with(|r| *r.borrow());
-    add(
-        (current_scope(), site, domain.to_string(), kind),
-        round,
-        fuel,
-    );
 }
 
 /// One aggregated row of a [`BlameTable`].
@@ -339,47 +240,120 @@ impl fmt::Display for BlameEntry {
     }
 }
 
-/// The drained, ranked blame table: every aggregated loss row, most
-/// blamed first (count, then fuel, then the deterministic key order).
+/// One run's loss events, aggregated by `(scope, site, domain, kind)`.
+/// Rows read out ranked, most blamed first: count (descending), then fuel
+/// (descending), then the key order — fully deterministic, so two
+/// identical runs give identical tables.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlameTable {
-    /// The ranked rows.
-    pub entries: Vec<BlameEntry>,
+    rows: BTreeMap<Key, Agg>,
 }
 
 impl BlameTable {
+    /// Folds one loss event into its row. `site` is the same stable
+    /// string the budget's degradation log uses (e.g. `"analyzer/while"`);
+    /// `domain` is the domain path (e.g. `logical.uf`); `round` is the
+    /// logical round the loss happened in; `fuel` is the ticks spent at
+    /// that point.
+    pub fn record(
+        &mut self,
+        scope: String,
+        site: &'static str,
+        domain: &str,
+        kind: LossKind,
+        round: u64,
+        fuel: u64,
+    ) {
+        self.add(
+            (scope, site, domain.to_string(), kind),
+            &Agg {
+                count: 1,
+                fuel,
+                round_min: round,
+                round_max: round,
+            },
+        );
+    }
+
+    fn add(&mut self, key: Key, agg: &Agg) {
+        match self.rows.get_mut(&key) {
+            Some(row) => row.fold(agg),
+            None => {
+                self.rows.insert(key, *agg);
+            }
+        }
+    }
+
+    /// Folds every row of `other` in: counts and fuel add up, round
+    /// ranges widen.
+    pub fn merge(&mut self, other: &BlameTable) {
+        for (key, agg) in &other.rows {
+            self.add(key.clone(), agg);
+        }
+    }
+
+    /// Every row, ranked.
+    pub fn entries(&self) -> Vec<BlameEntry> {
+        let mut entries: Vec<BlameEntry> = self
+            .rows
+            .iter()
+            .map(|((scope, site, domain, kind), agg)| BlameEntry {
+                scope: scope.clone(),
+                site,
+                domain: domain.clone(),
+                kind: *kind,
+                count: agg.count,
+                fuel: agg.fuel,
+                round_min: agg.round_min,
+                round_max: agg.round_max,
+            })
+            .collect();
+        // The rows come out in key order, so a stable sort on
+        // (count, fuel) leaves ties in key order.
+        entries.sort_by(|a, b| b.count.cmp(&a.count).then(b.fuel.cmp(&a.fuel)));
+        entries
+    }
+
     /// The top `k` rows (all of them if fewer).
-    pub fn top(&self, k: usize) -> &[BlameEntry] {
-        &self.entries[..self.entries.len().min(k)]
+    pub fn top(&self, k: usize) -> Vec<BlameEntry> {
+        let mut entries = self.entries();
+        entries.truncate(k);
+        entries
+    }
+
+    /// The count of the row with `e`'s `(scope, site, domain, kind)` key
+    /// (0 if absent).
+    pub fn count_of(&self, e: &BlameEntry) -> u64 {
+        let key = (e.scope.clone(), e.site, e.domain.clone(), e.kind);
+        self.rows.get(&key).map_or(0, |agg| agg.count)
     }
 
     /// The distinct [`LossKind`] strings present, for coverage checks.
     pub fn kinds(&self) -> Vec<&'static str> {
-        let mut kinds: Vec<&'static str> = self.entries.iter().map(|e| e.kind.as_str()).collect();
+        let mut kinds: Vec<&'static str> = self.rows.keys().map(|k| k.3.as_str()).collect();
         kinds.sort_unstable();
         kinds.dedup();
         kinds
     }
 
-    /// The rows whose scope is `proc` or nested under it, preserving
-    /// rank — the events a regressed fact in `proc` joins against.
-    pub fn for_scope<'a>(&'a self, proc: &str) -> impl Iterator<Item = &'a BlameEntry> + 'a {
-        let proc = proc.to_string();
+    /// The rows whose scope is `proc` or nested under it, ranked — the
+    /// events a regressed fact in `proc` joins against.
+    pub fn for_scope(&self, proc: &str) -> Vec<BlameEntry> {
         let prefix = format!("{proc}/");
-        self.entries
-            .iter()
-            .filter(move |e| e.scope == proc || e.scope.starts_with(&prefix))
+        let mut entries = self.entries();
+        entries.retain(|e| e.scope == proc || e.scope.starts_with(&prefix));
+        entries
     }
 
     /// Whether anything was recorded.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
     /// A deterministic JSON array of the ranked rows.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.entries().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -392,122 +366,101 @@ impl BlameTable {
 
 impl fmt::Display for BlameTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.entries.is_empty() {
+        if self.is_empty() {
             return writeln!(f, "(no loss events recorded)");
         }
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.entries().iter().enumerate() {
             writeln!(f, "#{} {}", i + 1, e)?;
         }
         Ok(())
     }
 }
 
-/// Drains every aggregated event into a ranked [`BlameTable`], clearing
-/// the layer's state. Ranking is count (descending), then fuel
-/// (descending), then the `(scope, site, domain, kind)` key — fully
-/// deterministic, so two identical runs drain identical tables.
-pub fn drain() -> BlameTable {
-    let rows: BTreeMap<Key, Agg> =
-        std::mem::take(&mut *TABLE.lock().unwrap_or_else(|e| e.into_inner()));
-    let mut entries: Vec<BlameEntry> = rows
-        .into_iter()
-        .map(|((scope, site, domain, kind), agg)| BlameEntry {
-            scope,
-            site,
-            domain,
-            kind,
-            count: agg.count,
-            fuel: agg.fuel,
-            round_min: agg.round_min,
-            round_max: agg.round_max,
-        })
-        .collect();
-    entries.sort_by(|a, b| {
-        b.count
-            .cmp(&a.count)
-            .then(b.fuel.cmp(&a.fuel))
-            .then_with(|| {
-                (&a.scope, a.site, &a.domain, a.kind).cmp(&(&b.scope, b.site, &b.domain, b.kind))
-            })
-    });
-    BlameTable { entries }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as TestMutex;
-
-    /// Serializes tests that toggle the global enabled flag / table.
-    static LOCK: TestMutex<()> = TestMutex::new(());
-
-    #[test]
-    fn disabled_records_nothing_and_scope_is_free() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(false);
-        drain();
-        let _s = scope(|| unreachable!("label must not be evaluated when off"));
-        record(LossKind::Widen, "analyzer/while", "interp", 3, 10);
-        assert!(drain().is_empty());
-    }
 
     #[test]
     fn events_aggregate_by_scope_site_domain_kind() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        drain();
-        {
-            let _p = scope(|| "f".to_string());
-            let _l = scope(|| "loop#0".to_string());
-            record(LossKind::Widen, "analyzer/while", "interp", 2, 5);
-            record(LossKind::Widen, "analyzer/while", "interp", 4, 7);
-            record(LossKind::NarrowFailed, "analyzer/narrow", "interp", 1, 3);
-        }
-        record(LossKind::Quarantine, "driver/supervisor", "driver", 0, 0);
-        let t = drain();
-        set_enabled(false);
-        assert_eq!(t.entries.len(), 3);
-        let widen = &t.entries[0];
-        assert_eq!(widen.scope, "f/loop#0");
-        assert_eq!(widen.kind, LossKind::Widen);
-        assert_eq!((widen.count, widen.fuel), (2, 12));
-        assert_eq!((widen.round_min, widen.round_max), (2, 4));
+        let mut t = BlameTable::default();
+        let widen = |t: &mut BlameTable, round, fuel| {
+            t.record(
+                "f/loop#0".into(),
+                "analyzer/while",
+                "interp",
+                LossKind::Widen,
+                round,
+                fuel,
+            );
+        };
+        widen(&mut t, 2, 5);
+        widen(&mut t, 4, 7);
+        t.record(
+            "f/loop#0".into(),
+            "analyzer/narrow",
+            "interp",
+            LossKind::NarrowFailed,
+            1,
+            3,
+        );
+        t.record(
+            "g".into(),
+            "driver/supervisor",
+            "driver",
+            LossKind::Quarantine,
+            0,
+            0,
+        );
+        let entries = t.entries();
+        assert_eq!(entries.len(), 3);
+        let top = &entries[0];
+        assert_eq!(top.scope, "f/loop#0");
+        assert_eq!(top.kind, LossKind::Widen);
+        assert_eq!((top.count, top.fuel), (2, 12));
+        assert_eq!((top.round_min, top.round_max), (2, 4));
+        assert_eq!(t.count_of(top), 2);
         assert_eq!(t.kinds(), vec!["narrow-failed", "quarantine", "widen"]);
-        assert_eq!(t.for_scope("f").count(), 2);
+        assert_eq!(t.for_scope("f").len(), 2);
         let json = t.to_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains(r#""scope":"f/loop#0""#), "{json}");
+        // Equal count and fuel fall back to key order: deterministic.
+        assert_eq!(entries[1].scope, "f/loop#0");
+        assert_eq!(entries[2].scope, "g");
     }
 
     #[test]
-    fn scopes_restore_rounds_and_ranking_is_deterministic() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_enabled(true);
-        drain();
+    fn merge_is_order_independent() {
+        let mut a = BlameTable::default();
+        a.record("f".into(), "s", "d", LossKind::Widen, 3, 10);
+        let mut b = BlameTable::default();
+        b.record("f".into(), "s", "d", LossKind::Widen, 1, 4);
+        b.record("g".into(), "s", "d", LossKind::Quarantine, 0, 0);
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        let row = &ab.entries()[0];
+        assert_eq!((row.count, row.fuel), (2, 14));
+        assert_eq!((row.round_min, row.round_max), (1, 3));
+    }
+
+    #[test]
+    fn scopes_nest_and_restore_rounds() {
         set_round(7);
         {
-            let _p = scope(|| "g".to_string());
+            let _p = scope("g".to_string());
+            assert_eq!(current_round(), 0, "entering a scope zeroes the round");
             set_round(2);
-            record_at_current_round(LossKind::BudgetDegrade, "analyzer/while", "interp", 1);
+            {
+                let _l = scope("loop#0".to_string());
+                assert_eq!(current_scope(), "g/loop#0");
+            }
+            assert_eq!((current_scope().as_str(), current_round()), ("g", 2));
         }
         // The enclosing round survives the inner scope.
-        record_at_current_round(
-            LossKind::BudgetDegrade,
-            "driver/summary-fixpoint",
-            "driver",
-            1,
-        );
-        let t = drain();
-        set_enabled(false);
-        assert_eq!(t.entries.len(), 2);
-        let by_scope: Vec<(&str, u64)> = t
-            .entries
-            .iter()
-            .map(|e| (e.scope.as_str(), e.round_min))
-            .collect();
-        assert!(by_scope.contains(&("g", 2)));
-        assert!(by_scope.contains(&("(top)", 7)));
-        // Equal count+fuel falls back to key order: deterministic.
-        assert_eq!(t.entries[0].scope, "(top)");
+        assert_eq!((current_scope().as_str(), current_round()), ("(top)", 7));
+        set_round(0);
     }
 }

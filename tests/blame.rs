@@ -1,21 +1,15 @@
 //! The precision-provenance determinism contract (see DESIGN.md §11):
-//! the blame layer is observation-only — results are bit-identical with
-//! it on and off — and its drained table is a pure function of the
-//! analysis, so the exported JSON is identical at every thread count,
-//! including under injected degradation faults.
+//! every run reports its own blame table in its degradation report. The
+//! table is a pure function of the analysis, so its JSON export is
+//! identical at every thread count, including under injected degradation
+//! faults, and two analyses running at once never see each other's rows.
 
 use cai_core::{Budget, ChaosConfig, ChaosDomain, LogicalProduct};
 use cai_driver::{Driver, ModuleAnalysis};
 use cai_interp::{parse_module, Module};
 use cai_linarith::AffineEq;
-use cai_obs::provenance;
 use cai_term::parse::Vocab;
 use cai_uf::UfDomain;
-use std::sync::Mutex;
-
-/// Serializes the tests that toggle the global blame-layer state; the
-/// cargo test harness runs tests concurrently.
-static BLAME_LOCK: Mutex<()> = Mutex::new(());
 
 type Product = LogicalProduct<AffineEq, UfDomain>;
 type DegradingProduct = LogicalProduct<ChaosDomain<AffineEq>, UfDomain>;
@@ -27,7 +21,8 @@ fn product_driver() -> Driver<Product, impl Fn(&Budget) -> Product + Sync> {
 /// A driver whose *base* domain injects sound degradation faults (forced
 /// ⊤ joins, defective Alternate operators, budget exhaustion) plus
 /// panics, so every run records loss events across several kinds and
-/// exercises the supervisor.
+/// exercises the supervisor. The product records on the job budget too,
+/// so its skipped Alternate definitions reach the run's report.
 fn degrading_driver(
     seed: u64,
     panic_rate: u32,
@@ -45,6 +40,7 @@ fn degrading_driver(
                 .with_budget(b.clone()),
             UfDomain::new(),
         )
+        .with_budget(b.clone())
     })
 }
 
@@ -67,7 +63,7 @@ fn test_module(n: usize) -> Module {
 
 /// Every observable fact of a run, as one comparable string: summaries
 /// (including their rendering), verdicts, flags, supervision counters,
-/// and the incident log.
+/// the incident log, and the blame table.
 fn fingerprint(a: &ModuleAnalysis) -> String {
     let mut s = String::new();
     for r in a {
@@ -84,103 +80,103 @@ fn fingerprint(a: &ModuleAnalysis) -> String {
             i.kind, i.subject, i.attempt
         ));
     }
+    s.push_str(&a.degradation.blame.to_json());
     s
 }
 
-/// The export contract: with degradation faults injected, the drained
-/// blame table's JSON is bit-identical at 1, 2 and 4 threads — scopes
-/// are thread-local, rounds are logical, and aggregation is commutative,
-/// so the schedule leaves no trace.
+/// The export contract: with degradation faults injected, the run's
+/// blame table — and every other observable fact — is bit-identical at
+/// 1, 2 and 4 threads: scopes are thread-local, rounds are logical, and
+/// the per-job tables merge commutatively, so the schedule leaves no
+/// trace.
 #[test]
 fn blame_json_is_identical_across_thread_counts_under_chaos() {
-    let _guard = BLAME_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let m = test_module(8);
     let (seed, panic_rate) = (7, 200);
-
-    provenance::set_enabled(true);
-    let _ = provenance::drain();
     let run = |threads: usize| {
-        let a = degrading_driver(seed, panic_rate)
+        degrading_driver(seed, panic_rate)
             .max_retries(0)
             .threads(threads)
             .with_budget(Budget::fuel(200_000))
-            .analyze(&m);
-        (fingerprint(&a), provenance::drain())
+            .analyze(&m)
     };
 
-    let (base_fp, base_tab) = run(1);
-    provenance::set_enabled(false);
-    provenance::set_enabled(true);
+    let base = run(1);
+    let kinds = base.degradation.blame.kinds();
     assert!(
-        !base_tab.is_empty(),
-        "the fault rates must actually record loss events"
-    );
-    assert!(
-        base_tab.kinds().len() >= 2,
-        "expected several loss kinds, got {:?}",
-        base_tab.kinds()
+        kinds.len() >= 2,
+        "expected several loss kinds, got {kinds:?}"
     );
     for threads in [2usize, 4] {
-        let (fp, tab) = run(threads);
-        assert_eq!(base_fp, fp, "chaos run at {threads} thread(s) diverged");
         assert_eq!(
-            base_tab.to_json(),
-            tab.to_json(),
-            "blame JSON at {threads} thread(s) differs from the 1-thread export"
+            fingerprint(&base),
+            fingerprint(&run(threads)),
+            "chaos run at {threads} thread(s) diverged from the 1-thread run"
         );
     }
-    provenance::set_enabled(false);
 }
 
-/// The transparency contract: the blame layer (and the tracer) observe,
-/// never steer. Results are bit-identical with both layers off and both
-/// on, at every thread count — and the disabled layer records nothing.
+/// The tracer observes, never steers: results are bit-identical with it
+/// off and on, at every thread count. A starved fuel pool makes the run
+/// lose facts, and the losses carry the procedure/loop scope, not a
+/// thread identity.
 #[test]
-fn provenance_off_and_on_are_bit_identical() {
-    let _guard = BLAME_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn tracer_on_off_is_bit_identical_and_losses_are_loop_scoped() {
     let m = test_module(8);
-
-    // A starved fuel pool makes the run actually *lose* facts (budget
-    // degradations), so the on-leg has events to record — and the
-    // degradations themselves must be identical with the layer off.
     let run = |threads: usize| {
-        fingerprint(
-            &product_driver()
-                .threads(threads)
-                .with_budget(Budget::fuel(24))
-                .analyze(&m),
-        )
+        product_driver()
+            .threads(threads)
+            .with_budget(Budget::fuel(24))
+            .analyze(&m)
     };
-    provenance::set_enabled(false);
     cai_obs::trace::set_enabled(false);
     let baseline = run(1);
-    assert!(
-        provenance::drain().is_empty(),
-        "a disabled layer must record nothing"
-    );
 
-    provenance::set_enabled(true);
     cai_obs::trace::set_enabled(true);
     for threads in [1usize, 2, 4] {
-        let observed = run(threads);
         assert_eq!(
-            baseline, observed,
-            "blame-on run at {threads} thread(s) diverged from the blame-off baseline"
+            fingerprint(&baseline),
+            fingerprint(&run(threads)),
+            "traced run at {threads} thread(s) diverged from the untraced baseline"
         );
     }
-    let table = provenance::drain();
     let spans = cai_obs::trace::drain();
-    provenance::set_enabled(false);
     cai_obs::trace::set_enabled(false);
-    assert!(
-        !table.is_empty(),
-        "the observed runs must actually have recorded loss events (the pool starves here)"
-    );
     assert!(!spans.is_empty(), "the tracer must have recorded spans");
-    // Losses carry the procedure/loop scope, not a thread identity.
+    let entries = baseline.degradation.blame.entries();
     assert!(
-        table.entries.iter().any(|e| e.scope.contains("/loop#")),
-        "loss events must be attributed to a proc/loop scope, got {:?}",
-        table.entries.iter().map(|e| &e.scope).collect::<Vec<_>>()
+        !entries.is_empty(),
+        "the starved run must report loss events"
     );
+    assert!(
+        entries.iter().any(|e| e.scope.contains("/loop#")),
+        "loss events must be attributed to a proc/loop scope, got {:?}",
+        entries.iter().map(|e| &e.scope).collect::<Vec<_>>()
+    );
+}
+
+/// Two analyses at once keep their rows apart: a starved and an
+/// unlimited driver run side by side on two threads, the unlimited run
+/// reports no loss, and the starved run reports exactly the rows it
+/// reports when it runs alone.
+#[test]
+fn concurrent_runs_report_only_their_own_losses() {
+    let m = test_module(8);
+    let starved = || product_driver().with_budget(Budget::fuel(24)).analyze(&m);
+    let alone = starved().degradation.blame;
+    assert!(!alone.is_empty(), "the starved run must report loss events");
+    let (side_by_side, unlimited) = std::thread::scope(|s| {
+        let a = s.spawn(starved);
+        let b = s.spawn(|| product_driver().analyze(&m));
+        (
+            a.join().expect("starved run"),
+            b.join().expect("unlimited run"),
+        )
+    });
+    assert!(
+        unlimited.degradation.blame.is_empty(),
+        "the unlimited run lost nothing, got {}",
+        unlimited.degradation.blame
+    );
+    assert_eq!(side_by_side.degradation.blame, alone);
 }

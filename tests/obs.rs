@@ -130,26 +130,23 @@ fn tracer_is_inert_under_chaos() {
 }
 
 /// Snapshot subtraction is the metering primitive: counters and
-/// histogram totals subtract (saturating), gauges keep the newer value.
+/// histogram totals subtract (saturating).
 #[test]
 fn snapshot_subtraction_arithmetic() {
     use cai_obs::{Metrics, Value};
     let m = Metrics::new();
     m.counter("joins").add(10);
-    m.gauge("depth").set(3);
     m.histogram("iters").observe(4);
     let before = m.snapshot();
 
     m.counter("joins").add(5);
     m.counter("fresh").add(2);
-    m.gauge("depth").set(9);
     m.histogram("iters").observe(6);
     let after = m.snapshot();
 
     let delta = &after - &before;
     assert_eq!(delta.counter("joins"), 5);
     assert_eq!(delta.counter("fresh"), 2, "new names pass through whole");
-    assert_eq!(delta.get("depth"), Some(Value::Gauge(9)));
     match delta.get("iters") {
         Some(Value::Histogram(h)) => {
             assert_eq!((h.count, h.sum), (1, 6));
